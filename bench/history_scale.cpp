@@ -24,6 +24,16 @@
 //   more than one chunk (~128 MB) in memory. A peak-RSS gate proves the
 //   full 12.8 GB set never materializes.
 //
+// A batched-classify section runs the 64 queries through the least-square
+// classifier twice — a loop of classify() and one classify_batch(), the
+// serve_batch read path — and reports both timings plus, from a scalar
+// model of the sketch filter, the rows each query verifies in full with
+// unseeded shards, with the batch's seeded shards and with the one-thread
+// running best (HISTORY_BATCH_* markers). Identical indices are a hard
+// gate; the speed-up is report-only. It also re-measures the sketch
+// filter's vector-vs-scalar ratio under the batched shape (seeded shards,
+// L2-resident shard sketch).
+//
 // A cache-resident SIMD section reports scalar-vs-dispatched speedups for
 // the four kernel families (distance scan, sketch prune, k-means
 // assignment, least-squares solve) as SIMD_* markers and gates the
@@ -86,6 +96,46 @@ std::size_t legacy_copy_classify(const HistoryDatabase& db,
     }
   }
   return best;
+}
+
+/// Scalar model of the sketch filter (the candidate tests of
+/// sketch_pruned_scan_scalar): folds rows [lo, hi) into the running pair
+/// and returns how many rows had their full signature read.
+std::size_t counted_sketch_fold(const SignatureView& view,
+                                const double* sketch, std::size_t stride,
+                                std::size_t lo, std::size_t hi,
+                                const double* q, double q_rest_norm,
+                                double& best_d, std::size_t& best_i) {
+  constexpr std::size_t kPrefix = LeastSquareClassifier::kSketchPrefix;
+  std::size_t verified = 0;
+  for (std::size_t i = lo; i < hi; ++i) {
+    double acc = 0.0;
+    for (std::size_t d = 0; d < kPrefix; ++d) {
+      const double t = sketch[d * stride + i] - q[d];
+      acc += t * t;
+    }
+    if (acc >= best_d) continue;
+    const double lb = sketch[kPrefix * stride + i] - q_rest_norm;
+    if (acc + lb * lb * (1.0 - 1e-9) >= best_d) continue;
+    ++verified;
+    const double d =
+        detail::signature_partial_sq(view.row(i), q, kPrefix, view.dims, acc);
+    if (d < best_d) {
+      best_d = d;
+      best_i = i;
+    }
+  }
+  return verified;
+}
+
+/// L2 norm of the query coordinates past the sketch prefix.
+double rest_norm(const WorkloadSignature& q) {
+  double rest = 0.0;
+  for (std::size_t d = LeastSquareClassifier::kSketchPrefix; d < q.size();
+       ++d) {
+    rest += q[d] * q[d];
+  }
+  return std::sqrt(rest);
 }
 
 /// Peak resident set size in bytes (0 where unavailable).
@@ -247,6 +297,139 @@ int main(int argc, char** argv) {
                Table::num(ls_fitted_ns, 0), Table::num(speedup, 1)});
     bench::finding(same, "least-square: flat-index results match legacy");
     (void)sink;
+  }
+
+  // ---- batched classify: one shard-major pass for the whole batch -------
+  bool batch_ok = false;
+  {
+    LeastSquareClassifier ls;
+    ls.fit(db.signature_view());
+    const SignatureView view = db.signature_view();
+    std::vector<const WorkloadSignature*> ptrs;
+    for (const auto& obs : queries) ptrs.push_back(&obs);
+
+    // Interleaved best-of-5: both paths see the same cache and frequency
+    // conditions.
+    std::vector<std::size_t> looped(queries.size()), batched;
+    double loop_s = std::numeric_limits<double>::infinity();
+    double batch_s = std::numeric_limits<double>::infinity();
+    for (int rep = 0; rep < 5; ++rep) {
+      const auto t0 = std::chrono::steady_clock::now();
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        looped[q] = ls.classify(queries[q]);
+      }
+      loop_s = std::min(loop_s, seconds_since(t0));
+      const auto t1 = std::chrono::steady_clock::now();
+      batched = ls.classify_batch(ptrs);
+      batch_s = std::min(batch_s, seconds_since(t1));
+    }
+    bool same = batched == looped;
+
+    // Rows verified per query, from the scalar filter model: every shard
+    // from +inf (the per-query sharded scan), shards seeded from shard 0
+    // (the batched scan at more than one thread), and one running best
+    // across all rows (the one-thread scan).
+    double verified[3] = {0.0, 0.0, 0.0};  // unseeded, seeded, serial
+    const double* sketch = ls.sketch_data();
+    const std::size_t stride = ls.sketch_stride();
+    const std::size_t shard = LeastSquareClassifier::kShardSize;
+    const std::size_t n_shards = (view.count + shard - 1) / shard;
+    const double inf = std::numeric_limits<double>::infinity();
+    // Each query's rest norm and shard-0 seed, reused by the
+    // vector-vs-scalar leg below.
+    std::vector<double> qrests, seeds(queries.size(), inf);
+    for (const auto& obs : queries) qrests.push_back(rest_norm(obs));
+    if (sketch != nullptr) {
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        const double* x = queries[q].data();
+        const double qrest = qrests[q];
+        double serial_d = inf;
+        std::size_t serial_i = 0;
+        verified[2] += static_cast<double>(counted_sketch_fold(
+            view, sketch, stride, 0, view.count, x, qrest, serial_d,
+            serial_i));
+        double best_d = inf;
+        std::size_t best_i = 0;
+        for (std::size_t s = 0; s < n_shards; ++s) {
+          const std::size_t lo = s * shard;
+          const std::size_t hi = std::min(view.count, lo + shard);
+          double d = inf;
+          std::size_t i = lo;
+          const auto unseeded = static_cast<double>(counted_sketch_fold(
+              view, sketch, stride, lo, hi, x, qrest, d, i));
+          verified[0] += unseeded;
+          if (s == 0) {  // shard 0 runs unseeded in the batch too
+            verified[1] += unseeded;
+            best_d = d;
+            best_i = i;
+            seeds[q] = std::nextafter(d, inf);
+            continue;
+          }
+          d = seeds[q];
+          i = view.count;  // "nothing found"
+          verified[1] += static_cast<double>(counted_sketch_fold(
+              view, sketch, stride, lo, hi, x, qrest, d, i));
+          if (i != view.count && d < best_d) {
+            best_d = d;
+            best_i = i;
+          }
+        }
+        // The model's seeded reduce must land where the classifier did.
+        same = same && best_i == batched[q] && serial_i == batched[q];
+      }
+      for (double& v : verified) v /= static_cast<double>(queries.size());
+    }
+    batch_ok = same;
+
+    // Sketch filter vector-vs-scalar, batched shape: shard-major, every
+    // query folded over a shard's L2-resident sketch from its seed.
+    double simd_speedup = 0.0;
+    if (sketch != nullptr) {
+      const SimdLevel disp = simd_level();
+      double level_s[2] = {inf, inf};  // [0] scalar, [1] dispatched
+      for (int rep = 0; rep < 3; ++rep) {
+        for (int l = 0; l < 2; ++l) {
+          const SimdLevel lvl = l == 0 ? SimdLevel::kScalar : disp;
+          const auto t0 = std::chrono::steady_clock::now();
+          for (std::size_t s = 1; s < n_shards; ++s) {
+            const std::size_t lo = s * shard;
+            const std::size_t hi = std::min(view.count, lo + shard);
+            for (std::size_t q = 0; q < queries.size(); ++q) {
+              double d = seeds[q];
+              std::size_t i = 0;
+              sketch_pruned_scan_level(lvl, view.data, view.dims, sketch,
+                                       stride, lo, hi, queries[q].data(),
+                                       qrests[q], d, i);
+            }
+          }
+          level_s[l] = std::min(level_s[l], seconds_since(t0));
+        }
+      }
+      simd_speedup = level_s[0] / level_s[1];
+    }
+
+    const double speedup = loop_s / batch_s;
+    t.add_row({"least-square classify() x" + std::to_string(n_queries),
+               "-", Table::num(loop_s * 1e9 / n_queries, 0), "1.0"});
+    t.add_row({"least-square classify_batch(" + std::to_string(n_queries) +
+                   ")",
+               "-", Table::num(batch_s * 1e9 / n_queries, 0),
+               Table::num(speedup, 2)});
+    std::printf("HISTORY_BATCH_queries %d\n", n_queries);
+    std::printf("HISTORY_BATCH_rows %zu\n", view.count);
+    std::printf("HISTORY_BATCH_per_query_ms %.3f\n", loop_s * 1e3);
+    std::printf("HISTORY_BATCH_batched_ms %.3f\n", batch_s * 1e3);
+    std::printf("HISTORY_BATCH_speedup %.2f\n", speedup);
+    std::printf("HISTORY_BATCH_identical %d\n", same ? 1 : 0);
+    if (sketch != nullptr) {
+      std::printf("HISTORY_BATCH_rows_verified_unseeded %.1f\n", verified[0]);
+      std::printf("HISTORY_BATCH_rows_verified_seeded %.1f\n", verified[1]);
+      std::printf("HISTORY_BATCH_rows_verified_serial %.1f\n", verified[2]);
+      std::printf("HISTORY_BATCH_sketch_simd_speedup %.2f\n", simd_speedup);
+    }
+    bench::finding(same,
+                   "least-square classify_batch indices identical to a loop "
+                   "of classify() and to the seeded-shard filter model");
   }
 
   // ---- k-means: per-call rebuild vs fit-once ----------------------------
@@ -468,9 +651,7 @@ int main(int argc, char** argv) {
       for (std::size_t d = kPrefix; d < dims; ++d) rest += row[d] * row[d];
       sketch[kPrefix * rows + i] = std::sqrt(rest);
     }
-    double qrest = 0.0;
-    for (std::size_t d = kPrefix; d < dims; ++d) qrest += q[d] * q[d];
-    qrest = std::sqrt(qrest);
+    const double qrest = rest_norm(q);
 
     // Best-of-N seconds for `iters` runs of `body` (noise shrinks, never
     // inflates, the reported speedups).
@@ -585,6 +766,8 @@ int main(int argc, char** argv) {
   bench::finding(tree_ok,
                  "decision-tree amortized classify >= 50x faster than "
                  "rebuild");
-  return (ls_ok && km_ok && tree_ok && stream_ok && rss_ok && simd_ok) ? 0
-                                                                       : 1;
+  return (ls_ok && batch_ok && km_ok && tree_ok && stream_ok && rss_ok &&
+          simd_ok)
+             ? 0
+             : 1;
 }

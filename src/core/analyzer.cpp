@@ -148,6 +148,14 @@ bool Classifier::update(const SignatureView& /*view*/,
   return false;  // no incremental path: always escalate to fit()
 }
 
+std::vector<std::size_t> Classifier::classify_batch(
+    std::span<const WorkloadSignature* const> queries) const {
+  std::vector<std::size_t> out(queries.size());
+  parallel_for(queries.size(),
+               [&](std::size_t q) { out[q] = classify(*queries[q]); });
+  return out;
+}
+
 void Classifier::refit(const SignatureView& view) {
   if (fitted_version_ == view.version) return;
   // The delta path is sound only when the incoming view provably extends
@@ -339,58 +347,102 @@ void LeastSquareClassifier::pruned_scan(std::size_t first, std::size_t last,
 
 std::size_t LeastSquareClassifier::classify(
     const WorkloadSignature& observed) const {
+  const WorkloadSignature* query = &observed;
+  return classify_batch({&query, 1}).front();
+}
+
+std::vector<std::size_t> LeastSquareClassifier::classify_batch(
+    std::span<const WorkloadSignature* const> queries) const {
   HARMONY_REQUIRE(!view_.empty(), "classify against empty signature set");
-  HARMONY_REQUIRE(view_.dims != SignatureView::kMixedDims &&
-                      observed.size() == view_.dims,
-                  "signature arity mismatch");
+  const std::size_t nq = queries.size();
   const std::size_t count = view_.count;
   const std::size_t dims = view_.dims;
-  const double* q = observed.data();
-  double q_rest_norm = 0.0;
-  if (sketch_ptr_ != nullptr) {
-    double rest = 0.0;
-    for (std::size_t d = kSketchPrefix; d < dims; ++d) rest += q[d] * q[d];
-    q_rest_norm = std::sqrt(rest);
-  }
-  if (count < kParallelThreshold || thread_count() <= 1) {
-    if (sketch_ptr_ == nullptr) {
-      return nearest_signature_blocked(view_.data, count, dims, q);
+  std::vector<double> rest_norms(nq, 0.0);
+  for (std::size_t q = 0; q < nq; ++q) {
+    HARMONY_REQUIRE(dims != SignatureView::kMixedDims &&
+                        queries[q]->size() == dims,
+                    "signature arity mismatch");
+    if (sketch_ptr_ != nullptr) {
+      const double* x = queries[q]->data();
+      double rest = 0.0;
+      for (std::size_t d = kSketchPrefix; d < dims; ++d) rest += x[d] * x[d];
+      rest_norms[q] = std::sqrt(rest);
     }
-    double best_d = std::numeric_limits<double>::infinity();
-    std::size_t best = 0;
-    pruned_scan(0, count, q, q_rest_norm, best_d, best);
-    return best;
   }
-  // Sharded scan: fixed-size shards (independent of the thread count) fold
-  // into per-shard (distance, index) slots, then reduce in shard order with
-  // a strict < — the global winner is the same lowest index the serial scan
-  // finds, at any HARMONY_THREADS setting.
-  const std::size_t n_shards = (count + kShardSize - 1) / kShardSize;
-  std::vector<double> shard_d(n_shards,
-                              std::numeric_limits<double>::infinity());
-  std::vector<std::size_t> shard_i(n_shards, 0);
-  parallel_for(n_shards, [&](std::size_t s) {
-    const std::size_t lo = s * kShardSize;
-    const std::size_t hi = std::min(count, lo + kShardSize);
-    double d = std::numeric_limits<double>::infinity();
-    std::size_t idx = lo;
+  // Folds rows [lo, hi) for query q into a running (distance, index) pair.
+  const auto fold = [&](std::size_t q, std::size_t lo, std::size_t hi,
+                        double& best_d, std::size_t& best_i) {
+    const double* x = queries[q]->data();
     if (sketch_ptr_ == nullptr) {
-      nearest_signature_scan(view_.data, dims, lo, hi, q, d, idx);
+      nearest_signature_scan(view_.data, dims, lo, hi, x, best_d, best_i);
     } else {
-      pruned_scan(lo, hi, q, q_rest_norm, d, idx);
+      pruned_scan(lo, hi, x, rest_norms[q], best_d, best_i);
     }
-    shard_d[s] = d;
-    shard_i[s] = idx;
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> best_d(nq, kInf);
+  std::vector<std::size_t> best_i(nq, 0);
+  const std::size_t n_shards = (count + kShardSize - 1) / kShardSize;
+  // Fan out once the batch's work (queries x rows) reaches the threshold:
+  // a large set for one query, or many queries against a small one.
+  if (thread_count() <= 1 || nq * count < kParallelThreshold) {
+    // The serial running-best scan, walked shard-major so a batch reads
+    // each shard once while it is cache-resident. Folding the shards in
+    // index order into one running pair per query is exactly one scan of
+    // [0, count).
+    for (std::size_t s = 0; s < n_shards; ++s) {
+      const std::size_t lo = s * kShardSize;
+      const std::size_t hi = std::min(count, lo + kShardSize);
+      for (std::size_t q = 0; q < nq; ++q) {
+        fold(q, lo, hi, best_d[q], best_i[q]);
+      }
+    }
+    return best_i;
+  }
+
+  // Sharded scan: fixed-size shards (independent of the thread count), each
+  // folded for every query into its own (distance, index) slot, then
+  // reduced in shard order with a strict < — the same lowest index the
+  // serial scan finds, at any HARMONY_THREADS setting. Shard 0 goes first,
+  // in parallel over the queries (for a set of one shard that is all
+  // there is): its best d0 seeds every later shard with nextafter(d0,
+  // +inf), so those shards only verify rows that could still tie or beat
+  // it. A row at distance d <= d0 stays a candidate everywhere (its exact
+  // prefix and deflated bound are <= d, below the seed), and only such
+  // rows can win.
+  const std::size_t hi0 = std::min(count, kShardSize);
+  parallel_for(nq, [&](std::size_t q) {
+    fold(q, 0, hi0, best_d[q], best_i[q]);
   });
-  std::size_t best = shard_i[0];
-  double best_d = shard_d[0];
-  for (std::size_t s = 1; s < n_shards; ++s) {
-    if (shard_d[s] < best_d) {
-      best_d = shard_d[s];
-      best = shard_i[s];
+  std::vector<double> seeds(nq);
+  for (std::size_t q = 0; q < nq; ++q) {
+    seeds[q] = std::nextafter(best_d[q], kInf);
+  }
+  constexpr std::size_t kNotFound = static_cast<std::size_t>(-1);
+  const std::size_t later = n_shards - 1;
+  std::vector<double> slot_d(later * nq);
+  std::vector<std::size_t> slot_i(later * nq);
+  parallel_for(later, [&](std::size_t k) {
+    const std::size_t lo = (k + 1) * kShardSize;
+    const std::size_t hi = std::min(count, lo + kShardSize);
+    for (std::size_t q = 0; q < nq; ++q) {
+      double d = seeds[q];
+      std::size_t idx = kNotFound;
+      fold(q, lo, hi, d, idx);
+      slot_d[k * nq + q] = d;
+      slot_i[k * nq + q] = idx;
+    }
+  });
+  for (std::size_t q = 0; q < nq; ++q) {
+    for (std::size_t k = 0; k < later; ++k) {
+      const std::size_t slot = k * nq + q;
+      if (slot_i[slot] != kNotFound && slot_d[slot] < best_d[q]) {
+        best_d[q] = slot_d[slot];
+        best_i[q] = slot_i[slot];
+      }
     }
   }
-  return best;
+  return best_i;
 }
 
 // --------------------------------------------------------------------------
@@ -817,8 +869,29 @@ void DataAnalyzer::ensure_fitted(const HistoryDatabase& db) const {
   if (classifier_->fitted_version() != view.version) classifier_->refit(view);
 }
 
+namespace {
+
+/// Why `observed` cannot be classified against `view`, or nullptr when it
+/// can. Non-finite values are rejected even against an empty history: the
+/// signature would otherwise be stored and poison later classifications.
+const char* query_rejection(const SignatureView& view,
+                            const WorkloadSignature& observed) {
+  if (!signature_is_finite(observed)) return "non-finite workload signature";
+  if (view.empty()) return nullptr;
+  if (view.dims == SignatureView::kMixedDims) {
+    return "signature arity mismatch: the history mixes signature arities";
+  }
+  if (observed.size() != view.dims) return "signature arity mismatch";
+  return nullptr;
+}
+
+}  // namespace
+
 std::optional<std::size_t> DataAnalyzer::classify(
     const HistoryDatabase& db, const WorkloadSignature& observed) const {
+  if (const char* why = query_rejection(db.signature_view(), observed)) {
+    throw Error(why);
+  }
   if (db.empty()) return std::nullopt;
   ensure_fitted(db);
   return classifier_->classify(observed);
@@ -829,6 +902,30 @@ const ExperienceRecord* DataAnalyzer::retrieve(
   const auto idx = classify(db, observed);
   if (!idx) return nullptr;
   return &db.record(*idx);
+}
+
+std::vector<DataAnalyzer::Retrieval> DataAnalyzer::retrieve_batch(
+    const HistoryDatabase& db,
+    std::span<const WorkloadSignature* const> queries) const {
+  std::vector<Retrieval> out(queries.size());
+  const SignatureView view = db.signature_view();
+  std::vector<const WorkloadSignature*> accepted;
+  std::vector<std::size_t> slots;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    if (const char* why = query_rejection(view, *queries[i])) {
+      out[i].error = why;
+    } else if (!db.empty()) {
+      accepted.push_back(queries[i]);
+      slots.push_back(i);
+    }
+  }
+  if (accepted.empty()) return out;
+  ensure_fitted(db);
+  const std::vector<std::size_t> found = classifier_->classify_batch(accepted);
+  for (std::size_t k = 0; k < slots.size(); ++k) {
+    out[slots[k]].record = &db.record(found[k]);
+  }
+  return out;
 }
 
 }  // namespace harmony

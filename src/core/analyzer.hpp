@@ -22,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -152,6 +153,16 @@ class Classifier {
   [[nodiscard]] virtual std::size_t classify(
       const WorkloadSignature& observed) const = 0;
 
+  /// Indices of the nearest known signature for each of `queries`, in
+  /// query order — element for element what classify() returns for each.
+  /// The default runs classify() per query, in parallel over the queries;
+  /// a classifier that can share one pass over the fitted set between
+  /// queries overrides it. Throws like classify() on any query. The
+  /// queries are borrowed by pointer, so a decorator keyed on a query's
+  /// address sees the caller's own signature.
+  [[nodiscard]] virtual std::vector<std::size_t> classify_batch(
+      std::span<const WorkloadSignature* const> queries) const;
+
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Version of the view the model was last fitted against (0 = never).
@@ -207,10 +218,19 @@ class Classifier {
 };
 
 /// The paper's mechanism: argmin_j sum_k (c_jk - c_ok)^2, evaluated as a
-/// blocked squared-distance kernel over the flat store. Databases at or
-/// above kParallelThreshold records shard the scan across the global thread
-/// pool; the deterministic lowest-index tie-break makes the sharded result
-/// bit-identical to the serial scan at every thread count.
+/// blocked squared-distance kernel over the flat store. Batches whose work
+/// (queries x records) reaches kParallelThreshold shard the scan across the
+/// global thread pool; the deterministic lowest-index tie-break makes the
+/// sharded result bit-identical to the serial scan at every thread count.
+///
+/// Batched scan: classify_batch() walks the store shard-major — each fixed
+/// kShardSize shard is folded for every query while it is cache-resident —
+/// and classify() is its one-query case. On the pool, each query's shard 0
+/// is folded first and seeds every later shard with the bound
+/// nextafter(d0, +inf): a row at distance <= d0 is still a candidate in
+/// every shard (its prefix and deflated bound are <= its distance, below
+/// the seed), and no other row can be the global winner, so the shards
+/// reduce in shard order with strict < to exactly the serial answer.
 ///
 /// Memory-bound scaling: fit() additionally packs a per-row *sketch* — the
 /// first kSketchPrefix coordinates verbatim plus the L2 norm of the
@@ -226,7 +246,8 @@ class LeastSquareClassifier final : public Classifier {
  public:
   using Classifier::classify;
 
-  /// Record count at which classify() fans out across the thread pool.
+  /// Batch work (queries x records) at which classify_batch() fans out
+  /// across the thread pool; for one query, the record count.
   static constexpr std::size_t kParallelThreshold = 8192;
   /// Rows per shard of the parallel scan (fixed, thread-count independent).
   static constexpr std::size_t kShardSize = 8192;
@@ -236,6 +257,8 @@ class LeastSquareClassifier final : public Classifier {
 
   void fit(const SignatureView& view) override;
   std::size_t classify(const WorkloadSignature& observed) const override;
+  std::vector<std::size_t> classify_batch(
+      std::span<const WorkloadSignature* const> queries) const override;
   std::string name() const override { return "least-square"; }
 
   /// Active sketch storage (introspection for the differential tests): the
@@ -433,7 +456,8 @@ class DataAnalyzer {
   /// before issuing classify()/retrieve() from several threads against a
   /// stable database: with the model already fitted, those calls are pure
   /// reads of the fitted state and therefore safe to run concurrently.
-  /// HarmonyServer::serve_batch uses exactly this protocol.
+  /// The serving front end's dispatch_batch uses exactly this protocol;
+  /// retrieve_batch() calls it itself.
   void ensure_fitted(const HistoryDatabase& db) const;
 
   /// Full-vs-incremental refit tally of the underlying classifier.
@@ -450,12 +474,33 @@ class DataAnalyzer {
 
   /// Index of the best-matching experience, or nullopt when the database is
   /// empty (the paper's "never seen before" case — tune from scratch).
+  /// Throws Error for a signature with a non-finite value (even against an
+  /// empty database) or an arity the database's history does not share.
   [[nodiscard]] std::optional<std::size_t> classify(
       const HistoryDatabase& db, const WorkloadSignature& observed) const;
 
   /// The matching experience record, or nullptr when the database is empty.
+  /// Rejects queries as classify() does.
   [[nodiscard]] const ExperienceRecord* retrieve(
       const HistoryDatabase& db, const WorkloadSignature& observed) const;
+
+  /// Outcome of one query of retrieve_batch().
+  struct Retrieval {
+    /// The matching experience; nullptr when the database is empty or the
+    /// query was rejected.
+    const ExperienceRecord* record = nullptr;
+    /// Why the query was rejected (what classify() would have thrown);
+    /// empty when it was accepted.
+    std::string error;
+  };
+
+  /// retrieve() for a whole batch: every accepted query is classified in
+  /// one Classifier::classify_batch call (after one ensure_fitted), and a
+  /// rejected query only marks its own entry — the others get exactly the
+  /// records a loop of retrieve() would return.
+  [[nodiscard]] std::vector<Retrieval> retrieve_batch(
+      const HistoryDatabase& db,
+      std::span<const WorkloadSignature* const> queries) const;
 
  private:
   std::shared_ptr<Classifier> classifier_;

@@ -28,6 +28,11 @@ double signature_distance(const WorkloadSignature& a,
   return std::sqrt(signature_distance_sq(a, b));
 }
 
+bool signature_is_finite(const WorkloadSignature& s) {
+  return std::all_of(s.begin(), s.end(),
+                     [](double v) { return std::isfinite(v); });
+}
+
 std::uint64_t next_signature_version() noexcept {
   static std::atomic<std::uint64_t> counter{0};
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;

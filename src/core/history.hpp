@@ -40,6 +40,10 @@ using WorkloadSignature = std::vector<double>;
 /// Euclidean distance between signatures.
 [[nodiscard]] double signature_distance(const WorkloadSignature& a,
                                         const WorkloadSignature& b);
+/// True when every value of `s` is finite. A NaN or infinite value makes
+/// every distance to it NaN or infinite, so such a signature can neither
+/// be classified nor stored as experience.
+[[nodiscard]] bool signature_is_finite(const WorkloadSignature& s);
 
 /// Process-unique version stamp. Every HistoryDatabase mutation (and every
 /// ad-hoc signature set built outside a database) draws a fresh value, so a

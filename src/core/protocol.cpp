@@ -185,10 +185,16 @@ Message ServerSession::handle_signature(const Message& m) {
   if (k < 0 || static_cast<std::size_t>(k) + 1 != m.args.size()) {
     return error("SIGNATURE arity mismatch");
   }
-  signature_.clear();
+  // Parsed aside so a rejected SIGNATURE leaves the session's signature
+  // (the one its experience is stored under) untouched.
+  WorkloadSignature signature;
   for (long i = 0; i < k; ++i) {
-    signature_.push_back(parse_double(m.args[static_cast<std::size_t>(i) + 1]));
+    signature.push_back(parse_double(m.args[static_cast<std::size_t>(i) + 1]));
   }
+  if (!signature_is_finite(signature)) {
+    return error("SIGNATURE values must be finite");
+  }
+  signature_ = std::move(signature);
 
   Message reply = ok();
   if (db_ != nullptr && !db_->empty()) {

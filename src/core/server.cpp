@@ -57,24 +57,34 @@ std::vector<ServedTuningResult> HarmonyServer::serve_batch(
     HARMONY_REQUIRE(rq.objective != nullptr, "serve_batch: null objective");
   }
 
-  // Fit the classifier to the entry-state database once, serially. The
-  // parallel retrievals below then only read the fitted model (the version
-  // stamps match, so the lazy-refit branch never fires) and the database's
-  // stable record storage — no synchronization needed, and every request
-  // sees the same experience set a serial loop over this batch would.
-  analyzer_.ensure_fitted(db_);
+  // Classify the whole batch against the entry-state database up front:
+  // one classifier fit, then one classify_batch call for every request
+  // (the least-square scan reads the history once for all of them instead
+  // of once per request). Sessions start only after it returns, so the
+  // parallel tasks below never wait inside a classify, and every request
+  // sees the experience set a serial loop over this batch would. A
+  // rejected signature fails only its own request.
+  std::vector<const WorkloadSignature*> signatures;
+  signatures.reserve(requests.size());
+  for (const ServeRequest& rq : requests) signatures.push_back(&rq.signature);
+  const std::vector<DataAnalyzer::Retrieval> found =
+      analyzer_.retrieve_batch(db_, signatures);
 
   parallel_for(requests.size(), [&](std::size_t i) {
     const ServeRequest& rq = requests[i];
     ServedTuningResult& res = out[i];
+    if (!found[i].error.empty()) {
+      res.failed = true;
+      res.failure = found[i].error;
+      return;
+    }
     // A request failure is contained here: the pool rethrows escaped
     // exceptions after the drain, which would poison the whole batch, so
     // the failing run is marked and its siblings finish untouched (they
     // share no mutable state with it).
     try {
       TuningSession session(space_, *rq.objective, opts_.tuning);
-      if (const ExperienceRecord* exp =
-              analyzer_.retrieve(db_, rq.signature)) {
+      if (const ExperienceRecord* exp = found[i].record) {
         session.seed(exp->best(space_.size() + 1), opts_.use_recorded_values);
         res.experience_label = exp->label;
         res.experience_distance =

@@ -112,12 +112,15 @@ class HarmonyServer {
   /// Serves N workloads concurrently across the global thread pool
   /// (HARMONY_THREADS; 1 runs the exact serial loop inline). Every request
   /// retrieves its warm-start experience against the database as it stood
-  /// at entry — the classifier is fitted once up front (version-stamped
-  /// fit-once model), after which concurrent retrievals are pure reads —
-  /// and the finished runs are stored back in request order only after all
-  /// of them completed. Results are bit-identical at every thread count:
+  /// at entry — the whole batch is classified up front in one
+  /// DataAnalyzer::retrieve_batch call, before any session starts — and
+  /// the finished runs are stored back in request order only after all of
+  /// them completed. Results are bit-identical at every thread count:
   /// requests share no mutable state while running, so placement changes
-  /// wall-clock time, never values. Entries with a null objective throw.
+  /// wall-clock time, never values. A request whose signature the analyzer
+  /// rejects (non-finite value, arity the history does not share) comes
+  /// back failed with the reason and runs no session. Entries with a null
+  /// objective throw.
   [[nodiscard]] std::vector<ServedTuningResult> serve_batch(
       std::span<const ServeRequest> requests);
 

@@ -1,10 +1,13 @@
 // Coverage for the scaled experience store: flat signature index, blocked /
 // sharded least-square scan determinism, fit-once/classify-many lifecycle
-// (auto-refit on database version bumps), and partial-selection best().
+// (auto-refit on database version bumps), partial-selection best(), and the
+// batched read path (classify_batch == a loop of classify, retrieve_batch
+// rejections).
 #include <algorithm>
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -263,6 +266,288 @@ TEST_P(ClassifierRefit, AutoRefitsOnVersionBump) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllClassifiers, ClassifierRefit,
+                         ::testing::Values(0, 1, 2));
+
+// ---------------------------------------------------------------------------
+// Batched classify: classify_batch must equal a loop of classify, index for
+// index, for every classifier, set shape and thread count.
+
+constexpr std::size_t kShard = LeastSquareClassifier::kShardSize;
+
+std::vector<const WorkloadSignature*> pointers(
+    const std::vector<WorkloadSignature>& queries) {
+  std::vector<const WorkloadSignature*> out;
+  for (const WorkloadSignature& q : queries) out.push_back(&q);
+  return out;
+}
+
+/// Checks classify_batch against a loop of classify at 1 and 8 threads and,
+/// when `view` is given, against the scalar reference scan.
+void expect_batch_matches_loop(const Classifier& c,
+                               const std::vector<WorkloadSignature>& queries,
+                               const SignatureView* view = nullptr) {
+  const auto ptrs = pointers(queries);
+  for (const unsigned threads : {1u, 8u}) {
+    SCOPED_TRACE(testing::Message() << c.name() << " at " << threads
+                                    << " threads, " << queries.size()
+                                    << " queries");
+    set_thread_count(threads);
+    const std::vector<std::size_t> batch = c.classify_batch(ptrs);
+    ASSERT_EQ(batch.size(), queries.size());
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      EXPECT_EQ(batch[q], c.classify(queries[q])) << "query " << q;
+      if (view != nullptr) {
+        EXPECT_EQ(batch[q],
+                  nearest_signature_scalar(view->data, view->count,
+                                           view->dims, queries[q].data()))
+            << "query " << q;
+      }
+    }
+  }
+  set_thread_count(0);
+}
+
+void add_rows(HistoryDatabase& db, Rng& rng, std::size_t count,
+              std::size_t dims) {
+  for (std::size_t i = 0; i < count; ++i) {
+    ExperienceRecord rec;
+    rec.signature.resize(dims);
+    // Clustered around a few anchors, so the sketch prunes heavily and the
+    // seeded bounds matter.
+    const double anchor = static_cast<double>(i % 7);
+    for (double& v : rec.signature) v = anchor + rng.uniform(-0.05, 0.05);
+    db.add(std::move(rec));
+  }
+}
+
+std::vector<WorkloadSignature> make_queries(Rng& rng, std::size_t n,
+                                            std::size_t dims) {
+  std::vector<WorkloadSignature> queries;
+  for (std::size_t q = 0; q < n; ++q) {
+    WorkloadSignature obs(dims);
+    const double anchor = static_cast<double>(q % 7);
+    for (double& v : obs) v = anchor + rng.uniform(-0.08, 0.08);
+    queries.push_back(std::move(obs));
+  }
+  return queries;
+}
+
+TEST(ClassifyBatch, LeastSquareMatchesLoopAcrossCountsAndShapes) {
+  Rng rng(2024);
+  // Below the parallel threshold, exactly two shards, and a count that is
+  // not a multiple of the shard size; sketched (dims 6) and unsketched
+  // (dims 3, too narrow for the sketch) sets.
+  for (const std::size_t dims : {3u, 6u}) {
+    for (const std::size_t count :
+         {std::size_t{100}, 2 * kShard, 3 * kShard + 37}) {
+      SCOPED_TRACE(testing::Message() << "dims " << dims << ", count "
+                                      << count);
+      HistoryDatabase db;
+      add_rows(db, rng, count, dims);
+      const SignatureView view = db.signature_view();
+      LeastSquareClassifier ls;
+      ls.fit(view);
+      EXPECT_EQ(ls.sketch_data() != nullptr, dims == 6u);
+      expect_batch_matches_loop(ls, make_queries(rng, 40, dims), &view);
+    }
+  }
+}
+
+TEST(ClassifyBatch, EmptyAndOneQueryBatches) {
+  Rng rng(5);
+  HistoryDatabase db;
+  add_rows(db, rng, 2 * kShard + 11, 6);
+  LeastSquareClassifier ls;
+  ls.fit(db.signature_view());
+  EXPECT_TRUE(ls.classify_batch({}).empty());
+  const SignatureView view = db.signature_view();
+  expect_batch_matches_loop(ls, make_queries(rng, 1, 6), &view);
+  KMeansClassifier km(8, 3);
+  km.fit(view);
+  EXPECT_TRUE(km.classify_batch({}).empty());
+}
+
+TEST(ClassifyBatch, BorrowedAndIncrementallyGrownSketches) {
+  Rng rng(77);
+  const std::size_t dims = 6;
+  HistoryDatabase db;
+  add_rows(db, rng, 2 * kShard + 500, dims);
+  const std::vector<WorkloadSignature> queries = make_queries(rng, 24, dims);
+
+  // Snapshot-style borrowed sketch: fit() adopts the view's sketch pointer.
+  SignatureView borrowed = db.signature_view();
+  std::vector<double> sketch(borrowed.count *
+                             (LeastSquareClassifier::kSketchPrefix + 1));
+  build_signature_sketch(borrowed, sketch.data());
+  borrowed.sketch = sketch.data();
+  LeastSquareClassifier from_snapshot;
+  from_snapshot.fit(borrowed);
+  ASSERT_EQ(from_snapshot.sketch_data(), sketch.data());
+  expect_batch_matches_loop(from_snapshot, queries, &borrowed);
+
+  // Incremental growth repacks the planes with headroom: stride > count.
+  // Forced on, so the exact-oracle leg (HARMONY_INCREMENTAL_FIT=off) runs
+  // this case too.
+  const bool incremental = incremental_fit_enabled();
+  set_incremental_fit(true);
+  LeastSquareClassifier grown;
+  grown.refit(db.signature_view());
+  add_rows(db, rng, kShard + 3, dims);
+  const SignatureView view = db.signature_view();
+  grown.refit(view);
+  set_incremental_fit(incremental);
+  ASSERT_EQ(grown.refit_stats().incremental, 1u);
+  ASSERT_GT(grown.sketch_stride(), view.count);
+  expect_batch_matches_loop(grown, queries, &view);
+}
+
+TEST(ClassifyBatch, DuplicateRowsTieAcrossShardBoundaries) {
+  Rng rng(9);
+  const std::size_t dims = 6;
+  HistoryDatabase db;
+  add_rows(db, rng, 3 * kShard + 37, dims);
+  // Row 100 (shard 0) and a row of shard 1 copied into the last shard.
+  const std::size_t in_shard1 = kShard + 42;
+  const WorkloadSignature a = db.record(100).signature;
+  const WorkloadSignature b = db.record(in_shard1).signature;
+  for (const WorkloadSignature* sig : {&a, &a, &b}) {
+    ExperienceRecord dup;
+    dup.signature = *sig;
+    db.add(std::move(dup));
+  }
+  const SignatureView view = db.signature_view();
+  LeastSquareClassifier ls;
+  ls.fit(view);
+  // Exact copies of a stored row: the first occurrence wins.
+  expect_batch_matches_loop(ls, {a, b, a}, &view);
+  set_thread_count(8);
+  const auto idx = ls.classify_batch(pointers({a, b}));
+  EXPECT_EQ(idx[0], 100u);
+  EXPECT_EQ(idx[1], in_shard1);
+  set_thread_count(0);
+}
+
+TEST(ClassifyBatch, ShardZeroBestTyingALowerBoundRowKeepsLowestIndex) {
+  // Every filler row sits far away, so the query's nearest rows are the
+  // planted ones. The later-shard row differs from the query only in a
+  // sketch prefix coordinate: its prefix distance IS its full distance and
+  // its rest-norm bound is 0, so its lower bound equals the shard-0 best
+  // exactly. The nextafter seed keeps it a candidate; the strict < reduce
+  // must still return the shard-0 row. A row one step closer must win.
+  const std::size_t dims = 6;
+  const WorkloadSignature query = {0.5, 0.5, 0.3, 0.3, 0.3, 0.3};
+  const std::size_t near0 = 10;
+  const std::size_t later = 2 * kShard + 3;
+  for (const bool closer : {false, true}) {
+    SCOPED_TRACE(closer ? "later row closer" : "later row ties");
+    Rng rng(13);
+    HistoryDatabase db;
+    for (std::size_t i = 0; i < 3 * kShard + 5; ++i) {
+      ExperienceRecord rec;
+      rec.signature.resize(dims);
+      for (double& v : rec.signature) v = rng.uniform(2.0, 3.0);
+      if (i == near0) {
+        rec.signature = query;
+        rec.signature[0] += 0.25;  // distance 0.0625, exactly
+      } else if (i == later) {
+        rec.signature = query;
+        rec.signature[1] += closer ? 0.125 : 0.25;
+      }
+      db.add(std::move(rec));
+    }
+    const SignatureView view = db.signature_view();
+    LeastSquareClassifier ls;
+    ls.fit(view);
+    ASSERT_NE(ls.sketch_data(), nullptr);
+    expect_batch_matches_loop(ls, {query, query}, &view);
+    set_thread_count(8);
+    EXPECT_EQ(ls.classify_batch(pointers({query})).front(),
+              closer ? later : near0);
+    set_thread_count(0);
+  }
+}
+
+TEST(ClassifyBatch, KMeansAndTreeUseTheDefaultPath) {
+  Rng rng(21);
+  const std::size_t dims = 5;
+  HistoryDatabase db;
+  add_rows(db, rng, 3000, dims);
+  const SignatureView view = db.signature_view();
+  KMeansClassifier km(12, 4);
+  km.fit(view);
+  DecisionTreeClassifier tree(8);
+  tree.fit(view);
+  const std::vector<WorkloadSignature> queries = make_queries(rng, 33, dims);
+  expect_batch_matches_loop(km, queries);
+  expect_batch_matches_loop(tree, queries, &view);  // the tree is exact
+}
+
+// retrieve_batch and the analyzer's query checks, for every classifier.
+class AnalyzerQueries : public ClassifierRefit {};
+
+TEST_P(AnalyzerQueries, NonFiniteSignaturesAreRejected) {
+  DataAnalyzer analyzer(make());
+  HistoryDatabase db;
+  Rng rng(3);
+  add_rows(db, rng, 200, 2);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const WorkloadSignature& bad : std::vector<WorkloadSignature>{
+           {nan, 0.0}, {0.0, inf}, {-inf, 1.0}}) {
+    EXPECT_THROW((void)analyzer.classify(db, bad), Error);
+    EXPECT_THROW((void)analyzer.retrieve(db, bad), Error);
+    // Rejected even against an empty history: such a signature must not
+    // be stored as experience either.
+    EXPECT_THROW((void)analyzer.classify(HistoryDatabase{}, bad), Error);
+  }
+  EXPECT_TRUE(analyzer.classify(db, {1.0, 1.0}).has_value());
+}
+
+TEST_P(AnalyzerQueries, RetrieveBatchIsolatesRejectedQueries) {
+  DataAnalyzer analyzer(make());
+  HistoryDatabase db;
+  Rng rng(4);
+  add_rows(db, rng, 300, 2);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<WorkloadSignature> queries = {
+      {1.0, 1.0}, {nan, 1.0}, {2.0, 2.0, 2.0}, {3.1, 2.9}};
+  const auto ptrs = pointers(queries);
+  for (const unsigned threads : {1u, 8u}) {
+    set_thread_count(threads);
+    const auto got = analyzer.retrieve_batch(db, ptrs);
+    ASSERT_EQ(got.size(), queries.size());
+    EXPECT_EQ(got[0].record, analyzer.retrieve(db, queries[0]));
+    EXPECT_EQ(got[3].record, analyzer.retrieve(db, queries[3]));
+    EXPECT_TRUE(got[0].error.empty());
+    EXPECT_TRUE(got[3].error.empty());
+    EXPECT_EQ(got[1].record, nullptr);
+    EXPECT_NE(got[1].error.find("non-finite"), std::string::npos);
+    EXPECT_EQ(got[2].record, nullptr);
+    EXPECT_NE(got[2].error.find("arity"), std::string::npos);
+  }
+  set_thread_count(0);
+
+  // Empty history: accepted queries get no record and no error.
+  const auto cold = analyzer.retrieve_batch(HistoryDatabase{}, ptrs);
+  EXPECT_EQ(cold[0].record, nullptr);
+  EXPECT_TRUE(cold[0].error.empty());
+  EXPECT_FALSE(cold[1].error.empty());
+
+  // Mixed-arity history: every query is rejected, none throws.
+  ExperienceRecord odd;
+  odd.signature = {1.0};
+  db.add(odd);
+  const auto mixed = analyzer.retrieve_batch(db, ptrs);
+  for (std::size_t q = 0; q < mixed.size(); ++q) {
+    EXPECT_EQ(mixed[q].record, nullptr);
+    EXPECT_FALSE(mixed[q].error.empty());
+    if (q != 1) {  // query 1 is rejected as non-finite first
+      EXPECT_NE(mixed[q].error.find("arity"), std::string::npos);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllClassifiers, AnalyzerQueries,
                          ::testing::Values(0, 1, 2));
 
 TEST(ExperienceRecord, BestPartialSelectionMatchesFullSort) {

@@ -14,9 +14,10 @@
 //     legacy infallible path,
 //   * a randomized differential: seeds x fault rates x injection modes x
 //     thread counts, trajectories and retry counters bit-identical,
-//   * serve_batch isolation: a failing request is marked and suppressed
-//     from the experience store while its siblings' results stay
-//     byte-identical.
+//   * serve_batch isolation: a failing request — a throwing objective or a
+//     signature the up-front batch classification rejects — is marked and
+//     suppressed from the experience store while its siblings' results
+//     stay byte-identical.
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -26,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/analyzer.hpp"
 #include "core/faults.hpp"
 #include "core/objective.hpp"
 #include "core/parallel_eval.hpp"
@@ -695,6 +697,128 @@ TEST_F(RobustnessTest, ServeBatchMarksExhaustedRunsFailedAndUnrecorded) {
   EXPECT_GT(results[1].tuning.retry.exhausted, 0u);
   ASSERT_EQ(server.database().size(), 1u);
   EXPECT_EQ(server.database().record(0).label, "healthy");
+}
+
+std::shared_ptr<Classifier> make_classifier(int kind) {
+  switch (kind) {
+    case 0: return std::make_shared<LeastSquareClassifier>();
+    case 1: return std::make_shared<KMeansClassifier>(2, 7);
+    default: return std::make_shared<DecisionTreeClassifier>(2);
+  }
+}
+
+TEST_F(RobustnessTest, ServeBatchIsolatesRejectedSignatures) {
+  // The batch is classified up front, before any session starts; a request
+  // the analyzer rejects must fail alone, with its reason, and leave its
+  // warm-started siblings byte-identical to the batch without it.
+  synth::SyntheticSystem system;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  ServerOptions sopts;
+  sopts.tuning.simplex.max_evaluations = 40;
+
+  // Two prior runs, so every healthy request below warm-starts.
+  const auto with_history = [&](HarmonyServer& server, int kind) {
+    server.set_analyzer(DataAnalyzer(make_classifier(kind)));
+    auto a = make_objective(system);
+    auto b = make_objective(system);
+    const std::vector<ServeRequest> prior = {{a.get(), {1.0, 0.0}, "pa"},
+                                             {b.get(), {0.0, 1.0}, "pb"}};
+    (void)server.serve_batch(prior);
+    ASSERT_EQ(server.database().size(), 2u);
+  };
+
+  for (const int kind : {0, 1, 2}) {
+    for (const unsigned threads : {1u, 8u}) {
+      SCOPED_TRACE(testing::Message() << "classifier " << kind << ", "
+                                      << threads << " threads");
+      set_thread_count(threads);
+
+      HarmonyServer reference(system.space(), sopts);
+      with_history(reference, kind);
+      auto ref_a = make_objective(system);
+      auto ref_b = make_objective(system);
+      const std::vector<ServeRequest> ref_requests = {
+          {ref_a.get(), {0.9, 0.1}, "a"},
+          {ref_b.get(), {0.2, 0.8}, "b"},
+      };
+      const auto ref = reference.serve_batch(ref_requests);
+
+      HarmonyServer server(system.space(), sopts);
+      with_history(server, kind);
+      auto obj_a = make_objective(system);
+      auto obj_b = make_objective(system);
+      auto obj_nan = make_objective(system);
+      auto obj_inf = make_objective(system);
+      auto obj_wide = make_objective(system);
+      const std::vector<ServeRequest> requests = {
+          {obj_nan.get(), {nan, 0.5}, "nan"},
+          {obj_a.get(), {0.9, 0.1}, "a"},
+          {obj_wide.get(), {0.5, 0.5, 0.5}, "wide"},
+          {obj_b.get(), {0.2, 0.8}, "b"},
+          {obj_inf.get(), {0.5, -inf}, "inf"},
+      };
+      const auto results = server.serve_batch(requests);
+      ASSERT_EQ(results.size(), 5u);
+
+      for (const std::size_t bad : {0u, 2u, 4u}) {
+        EXPECT_TRUE(results[bad].failed);
+        EXPECT_TRUE(results[bad].tuning.trace.empty());
+        EXPECT_FALSE(results[bad].experience_label.has_value());
+      }
+      EXPECT_NE(results[0].failure.find("non-finite"), std::string::npos);
+      EXPECT_NE(results[2].failure.find("arity"), std::string::npos);
+      EXPECT_NE(results[4].failure.find("non-finite"), std::string::npos);
+
+      for (const auto& [got, want] :
+           {std::pair{&results[1], &ref[0]}, std::pair{&results[3], &ref[1]}}) {
+        EXPECT_FALSE(got->failed);
+        ASSERT_TRUE(got->experience_label.has_value());
+        EXPECT_EQ(got->experience_label, want->experience_label);
+        EXPECT_EQ(got->experience_distance, want->experience_distance);
+        EXPECT_EQ(trace_hex(got->tuning.trace), trace_hex(want->tuning.trace));
+      }
+
+      // Only the healthy runs were written back, in request order.
+      ASSERT_EQ(server.database().size(), 4u);
+      EXPECT_EQ(server.database().record(2).label, "a");
+      EXPECT_EQ(server.database().record(3).label, "b");
+    }
+  }
+}
+
+TEST_F(RobustnessTest, ServeBatchFailsEveryRequestAgainstAMixedArityHistory) {
+  synth::SyntheticSystem system;
+  ServerOptions sopts;
+  sopts.tuning.simplex.max_evaluations = 20;
+  for (const int kind : {0, 1, 2}) {
+    for (const unsigned threads : {1u, 8u}) {
+      SCOPED_TRACE(testing::Message() << "classifier " << kind << ", "
+                                      << threads << " threads");
+      set_thread_count(threads);
+      HarmonyServer server(system.space(), sopts);
+      server.set_analyzer(DataAnalyzer(make_classifier(kind)));
+      ExperienceRecord wide;
+      wide.signature = {1.0, 0.0};
+      server.database().add(wide);
+      ExperienceRecord narrow;
+      narrow.signature = {1.0};
+      server.database().add(narrow);
+
+      auto a = make_objective(system);
+      auto b = make_objective(system);
+      const std::vector<ServeRequest> requests = {{a.get(), {1.0, 0.0}, "a"},
+                                                  {b.get(), {1.0}, "b"}};
+      std::vector<ServedTuningResult> results;
+      ASSERT_NO_THROW(results = server.serve_batch(requests));
+      for (const ServedTuningResult& r : results) {
+        EXPECT_TRUE(r.failed);
+        EXPECT_NE(r.failure.find("mixes signature arities"),
+                  std::string::npos);
+      }
+      EXPECT_EQ(server.database().size(), 2u);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

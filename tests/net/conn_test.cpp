@@ -221,6 +221,52 @@ TEST(Connection, StepBudgetYieldsCleanError) {
   EXPECT_FALSE(conn.wants_close());
 }
 
+TEST(Connection, NonFiniteSignatureGetsErrorInBothFramings) {
+  // strtod accepts "nan" and "inf"; such a signature can be neither
+  // classified nor stored as experience, so the SIGNATURE handler answers
+  // ERROR and the session keeps working.
+  proto::SessionOptions opts;
+  for (const char* bad : {"nan", "inf", "-inf", "NAN", "1e999"}) {
+    SCOPED_TRACE(bad);
+    Connection text(Fd(), opts);
+    feed(text, "HELLO app\n");
+    (void)step(text);
+    feed(text, std::string("BUNDLES ") + kRsl + "\n");
+    (void)step(text);
+    feed(text, std::string("SIGNATURE 2 0.5 ") + bad + "\n");
+    const std::string reply = step(text);
+    EXPECT_EQ(reply.substr(0, 5), "ERROR");
+    EXPECT_NE(reply.find("finite"), std::string::npos);
+    EXPECT_FALSE(text.wants_close());
+    feed(text, "SIGNATURE 2 0.5 0.25\n");
+    EXPECT_EQ(step(text), "OK\n");
+
+    Connection binary(Fd(), opts);
+    std::vector<std::uint8_t> out(kBinaryPreamble,
+                                  kBinaryPreamble + sizeof kBinaryPreamble);
+    append_frame(out, {"HELLO", {"app"}});
+    append_frame(out, {"BUNDLES", {kRsl}});
+    append_frame(out, {"SIGNATURE", {"2", bad, "0.5"}});
+    feed(binary, out);
+    StreamDecoder replies(StreamDecoder::Mode::kBinary);
+    std::vector<proto::Message> got;
+    for (int i = 0; i < 3; ++i) {
+      const std::string raw = step(binary);
+      replies.append(reinterpret_cast<const std::uint8_t*>(raw.data()),
+                     raw.size());
+      const StreamDecoder::Unit u = replies.next();
+      ASSERT_EQ(u.kind, StreamDecoder::Unit::Kind::kFrame);
+      got.push_back(decode_frame_payload(u.payload, u.payload_len));
+    }
+    EXPECT_EQ(got[0].verb, "OK");
+    EXPECT_EQ(got[1].verb, "OK");
+    ASSERT_EQ(got[2].verb, "ERROR");
+    ASSERT_FALSE(got[2].args.empty());
+    EXPECT_NE(got[2].args[0].find("finite"), std::string::npos);
+    EXPECT_FALSE(binary.wants_close());
+  }
+}
+
 TEST(Connection, FuzzedByteSoupNeverCrashes) {
   // Seeded fuzz over the full connection state machine: arbitrary bytes in
   // arbitrary chunk sizes must always end in ERROR-or-close, never a

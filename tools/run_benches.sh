@@ -76,8 +76,9 @@ for b in $BENCHES; do
   # SIMD_<key> <value> lines, DES queue-backend comparisons on
   # DES_<key> <value> lines and durable-store metrics on PERSIST_<key>
   # <value> lines, serving-front-end metrics on SERVE_<key> <value>
-  # lines and delta-aware refit metrics on INCFIT_<key> <value> lines;
-  # fold any such markers into the bench's JSON entry.
+  # lines, delta-aware refit metrics on INCFIT_<key> <value> lines and
+  # batched-classify metrics on HISTORY_BATCH_<key> <value> lines; fold
+  # any such markers into the bench's JSON entry.
   rates=$(awk '/^EVENTS_PER_SEC / {
                  if (n++) printf ", ";
                  printf "\"%s\": %s", $2, $3
@@ -118,6 +119,11 @@ for b in $BENCHES; do
                   if (n++) printf ", ";
                   printf "\"%s\": %s", key, $2
                 }' "$OUT_DIR/$b.log")
+  hbatch=$(awk '/^HISTORY_BATCH_/ {
+                  key = substr($1, length("HISTORY_BATCH_") + 1);
+                  if (n++) printf ", ";
+                  printf "\"%s\": %s", key, $2
+                }' "$OUT_DIR/$b.log")
   tourn=$(awk '/^TOURNAMENT_/ {
                  key = substr($1, length("TOURNAMENT_") + 1);
                  if (n++) printf ", ";
@@ -132,6 +138,7 @@ for b in $BENCHES; do
   [ -n "$persist" ] && extra="$extra, \"persistence\": {$persist}"
   [ -n "$serve" ] && extra="$extra, \"serving\": {$serve}"
   [ -n "$incfit" ] && extra="$extra, \"incremental_fit\": {$incfit}"
+  [ -n "$hbatch" ] && extra="$extra, \"history_batch\": {$hbatch}"
   [ -n "$tourn" ] && extra="$extra, \"tournament\": {$tourn}"
   printf '    "%s": {"seconds": %s, "status": "%s"%s}' \
     "$b" "$secs" "$status" "$extra" >> "$JSON"
