@@ -330,8 +330,10 @@ int main(int argc, char** argv) {
     // (the batched scan at more than one thread), and one running best
     // across all rows (the one-thread scan).
     double verified[3] = {0.0, 0.0, 0.0};  // unseeded, seeded, serial
-    const double* sketch = ls.sketch_data();
-    const std::size_t stride = ls.sketch_stride();
+    // The database was built in memory, so every row is in the view's tail
+    // extent and the tail planes are the whole sketch.
+    const double* sketch = ls.sketched() ? ls.tail_sketch() : nullptr;
+    const std::size_t stride = ls.tail_sketch_stride();
     const std::size_t shard = LeastSquareClassifier::kShardSize;
     const std::size_t n_shards = (view.count + shard - 1) / shard;
     const double inf = std::numeric_limits<double>::infinity();
@@ -397,7 +399,7 @@ int main(int argc, char** argv) {
             for (std::size_t q = 0; q < queries.size(); ++q) {
               double d = seeds[q];
               std::size_t i = 0;
-              sketch_pruned_scan_level(lvl, view.data, view.dims, sketch,
+              sketch_pruned_scan_level(lvl, view.tail_data, view.dims, sketch,
                                        stride, lo, hi, queries[q].data(),
                                        qrests[q], d, i);
             }

@@ -164,14 +164,16 @@ RunResult run_classifier(const std::string& kind, std::size_t records) {
     const auto* ref =
         static_cast<const LeastSquareClassifier*>(fresh.classifier().get());
     const SignatureView view = db.signature_view();
-    if ((inc->sketch_data() == nullptr) != (ref->sketch_data() == nullptr)) {
+    if (inc->sketched() != ref->sketched()) {
       out.sketch_identical = false;
-    } else if (inc->sketch_data() != nullptr) {
+    } else if (inc->sketched()) {
       for (std::size_t plane = 0;
            plane <= LeastSquareClassifier::kSketchPrefix; ++plane) {
-        const double* a = inc->sketch_data() + plane * inc->sketch_stride();
-        const double* b = ref->sketch_data() + plane * ref->sketch_stride();
-        for (std::size_t i = 0; i < view.count; ++i) {
+        const double* a =
+            inc->tail_sketch() + plane * inc->tail_sketch_stride();
+        const double* b =
+            ref->tail_sketch() + plane * ref->tail_sketch_stride();
+        for (std::size_t i = 0; i < view.count - view.split; ++i) {
           if (a[i] != b[i]) {
             out.sketch_identical = false;
             break;

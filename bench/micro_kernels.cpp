@@ -197,8 +197,8 @@ DeltaChain make_delta_chain(std::size_t base, std::size_t deltas) {
   c.views.reserve(deltas + 1);
   for (std::size_t j = 0; j <= deltas; ++j) {
     SignatureView v;
-    v.data = c.data.data();
-    v.offsets = c.offsets.data();
+    v.tail_data = c.data.data();
+    v.tail_offsets = c.offsets.data();
     v.count = base + j * kIncBatch;
     v.dims = kIncDims;
     v.version = next_signature_version();

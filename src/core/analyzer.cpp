@@ -52,6 +52,27 @@ inline double row_partial(const double* row, const double* q, std::size_t d0,
 
 using detail::kDimChunk;
 
+/// "No row" index sentinel for folds that start without a candidate.
+constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
+
+/// Folds rows [first, last) of a two-extent row set (head rows below
+/// `split`, tail rows from it) into a running best index: `head(lo, hi,
+/// best)` folds head rows, whose indices are global; `tail(lo, hi, best)`
+/// folds tail-local rows, and a tail winner is mapped back to its global
+/// index. The fold callables carry the running distance themselves, so the
+/// pair crosses the split intact — head range then tail range in row order
+/// is exactly one fold over [first, last).
+template <typename HeadFold, typename TailFold>
+void fold_extents(std::size_t split, std::size_t first, std::size_t last,
+                  std::size_t& best_index, HeadFold&& head, TailFold&& tail) {
+  if (first < split) head(first, std::min(last, split), best_index);
+  if (last > split) {
+    std::size_t local = kNoRow;
+    tail(std::max(first, split) - split, last - split, local);
+    if (local != kNoRow) best_index = split + local;
+  }
+}
+
 }  // namespace
 
 std::size_t nearest_signature_scalar(const double* data, std::size_t count,
@@ -143,6 +164,22 @@ std::size_t nearest_signature_blocked(const double* data, std::size_t count,
   return best;
 }
 
+void nearest_signature_scan(const SignatureView& view, std::size_t first,
+                            std::size_t last, const double* query,
+                            double& best_dist_sq, std::size_t& best_index) {
+  const std::size_t dims = view.dims;
+  fold_extents(
+      view.split, first, last, best_index,
+      [&](std::size_t lo, std::size_t hi, std::size_t& best) {
+        nearest_signature_scan(view.head_data, dims, lo, hi, query,
+                               best_dist_sq, best);
+      },
+      [&](std::size_t lo, std::size_t hi, std::size_t& best) {
+        nearest_signature_scan(view.tail_data, dims, lo, hi, query,
+                               best_dist_sq, best);
+      });
+}
+
 bool Classifier::update(const SignatureView& /*view*/,
                         std::size_t /*first_new_row*/) {
   return false;  // no incremental path: always escalate to fit()
@@ -191,8 +228,8 @@ std::size_t Classifier::classify(const WorkloadSignature& observed,
     compat_offsets_.push_back(compat_data_.size());
   }
   SignatureView view;
-  view.data = compat_data_.data();
-  view.offsets = compat_offsets_.data();
+  view.tail_data = compat_data_.data();
+  view.tail_offsets = compat_offsets_.data();
   view.count = known.size();
   view.dims = mixed ? SignatureView::kMixedDims : dims;
   view.version = next_signature_version();
@@ -209,90 +246,92 @@ bool signature_sketch_applicable(const SignatureView& view) {
          view.dims > LeastSquareClassifier::kSketchPrefix + 1;
 }
 
-void build_signature_sketch(const SignatureView& view, double* out) {
+void build_signature_sketch(const SignatureView& view, std::size_t first,
+                            std::size_t last, double* out,
+                            std::size_t stride) {
   constexpr std::size_t kPrefix = LeastSquareClassifier::kSketchPrefix;
   const std::size_t dims = view.dims;
-  const std::size_t count = view.count;
   // Plane-major: coordinate planes first, rest-norm plane last, so the
   // SIMD prefix filter reads contiguous runs of rows per plane.
-  for (std::size_t i = 0; i < count; ++i) {
+  for (std::size_t i = first; i < last; ++i) {
     const double* row = view.row(i);
+    const std::size_t j = i - first;
     for (std::size_t d = 0; d < kPrefix; ++d) {
-      out[d * count + i] = row[d];
+      out[d * stride + j] = row[d];
     }
     double rest = 0.0;
     for (std::size_t d = kPrefix; d < dims; ++d) {
       rest += row[d] * row[d];
     }
-    out[kPrefix * count + i] = std::sqrt(rest);
+    out[kPrefix * stride + j] = std::sqrt(rest);
   }
 }
 
 void LeastSquareClassifier::fit(const SignatureView& view) {
+  constexpr std::size_t kPlanes = kSketchPrefix + 1;
   view_ = view;
-  sketch_.clear();
-  sketch_ptr_ = nullptr;
-  sketch_stride_ = 0;
-  if (signature_sketch_applicable(view)) {
-    if (view.sketch != nullptr) {
-      // Snapshot-backed store: borrow the persisted sketch (bit-identical
-      // to what build_signature_sketch would produce from the same rows).
-      sketch_ptr_ = view.sketch;
-    } else {
-      sketch_.resize(view.count * (kSketchPrefix + 1));
-      build_signature_sketch(view, sketch_.data());
-      sketch_ptr_ = sketch_.data();
+  sketched_ = signature_sketch_applicable(view);
+  head_sketch_ = nullptr;
+  head_owned_.clear();
+  tail_sketch_.clear();
+  tail_stride_ = 0;
+  if (sketched_) {
+    const std::size_t split = view.split;
+    if (view.head_sketch != nullptr) {
+      // Snapshot-backed store: borrow the persisted head planes
+      // (bit-identical to what build_signature_sketch packs from the same
+      // rows), so the fit costs O(tail rows).
+      head_sketch_ = view.head_sketch;
+    } else if (split > 0) {
+      head_owned_.resize(split * kPlanes);
+      build_signature_sketch(view, 0, split, head_owned_.data(), split);
+      head_sketch_ = head_owned_.data();
     }
-    sketch_stride_ = view.count;
+    tail_stride_ = view.count - split;
+    tail_sketch_.resize(tail_stride_ * kPlanes);
+    build_signature_sketch(view, split, view.count, tail_sketch_.data(),
+                           tail_stride_);
   }
   set_fitted(view);
 }
 
 bool LeastSquareClassifier::update(const SignatureView& view,
                                    std::size_t first_new_row) {
-  // Shape changes (sketched <-> unsketched, arity drift into mixed) mean
-  // the model the full fit would build differs structurally — escalate.
-  if (signature_sketch_applicable(view) != (sketch_ptr_ != nullptr)) {
+  // Shape changes (sketched <-> unsketched, arity drift into mixed, a moved
+  // head extent) mean the model the full fit would build differs
+  // structurally — escalate.
+  if (signature_sketch_applicable(view) != sketched_ ||
+      view.split != view_.split) {
     return false;
   }
-  if (sketch_ptr_ == nullptr) {
+  if (!sketched_) {
     // Unsketched set (narrow or mixed arity): the model is just the view.
     view_ = view;
     return true;
   }
   if (view.dims != view_.dims) return false;
   constexpr std::size_t kPlanes = kSketchPrefix + 1;
-  const std::size_t new_count = view.count;
-  if (sketch_.empty() || new_count > sketch_stride_) {
-    // Repack the planes into an owned buffer with ~50% headroom so a
-    // steady append stream moves them only every few thousand rows. The
-    // old planes are read at the old stride before the storage swap.
-    const std::size_t stride = new_count + new_count / 2 + 64;
+  const std::size_t split = view.split;
+  const std::size_t old_tail = first_new_row - split;
+  const std::size_t new_tail = view.count - split;
+  if (new_tail > tail_stride_) {
+    // Repack the tail planes with ~50% headroom so a steady append stream
+    // moves them only every few thousand rows. The old planes are read at
+    // the old stride before the storage swap.
+    const std::size_t stride = new_tail + new_tail / 2 + 64;
     std::vector<double> grown(stride * kPlanes);
     for (std::size_t p = 0; p < kPlanes; ++p) {
-      const double* src = sketch_ptr_ + p * sketch_stride_;
-      std::copy(src, src + first_new_row, grown.begin() + static_cast<long>(p * stride));
+      const double* src = tail_sketch_.data() + p * tail_stride_;
+      std::copy(src, src + old_tail,
+                grown.begin() + static_cast<long>(p * stride));
     }
-    sketch_ = std::move(grown);
-    sketch_ptr_ = sketch_.data();
-    sketch_stride_ = stride;
+    tail_sketch_ = std::move(grown);
+    tail_stride_ = stride;
   }
-  // Pack the new rows exactly as build_signature_sketch would: each entry
-  // depends only on its own row, so the grown sketch is bit-identical to
-  // the one a fresh fit builds.
-  double* out = sketch_.data();
-  const std::size_t dims = view.dims;
-  for (std::size_t i = first_new_row; i < new_count; ++i) {
-    const double* row = view.row(i);
-    for (std::size_t d = 0; d < kSketchPrefix; ++d) {
-      out[d * sketch_stride_ + i] = row[d];
-    }
-    double rest = 0.0;
-    for (std::size_t d = kSketchPrefix; d < dims; ++d) {
-      rest += row[d] * row[d];
-    }
-    out[kSketchPrefix * sketch_stride_ + i] = std::sqrt(rest);
-  }
+  // Each entry depends only on its own row, so the grown sketch is
+  // bit-identical to the one a fresh fit builds.
+  build_signature_sketch(view, first_new_row, view.count,
+                         tail_sketch_.data() + old_tail, tail_stride_);
   view_ = view;
   return true;
 }
@@ -337,12 +376,22 @@ void LeastSquareClassifier::pruned_scan(std::size_t first, std::size_t last,
                                         double query_rest_norm,
                                         double& best_dist_sq,
                                         std::size_t& best_index) const {
-  // The kernels take the sketch's plane stride where the original layout
-  // passed the row count; the incremental path grows the planes with
-  // headroom, so stride >= view_.count.
-  sketch_pruned_scan(view_.data, view_.dims, sketch_ptr_, sketch_stride_,
-                     first, last, query, query_rest_norm, best_dist_sq,
-                     best_index);
+  // The kernels take each extent's plane stride where the original layout
+  // passed the row count: split for the head, the (headroom-grown) tail
+  // stride for the tail.
+  const std::size_t dims = view_.dims;
+  fold_extents(
+      view_.split, first, last, best_index,
+      [&](std::size_t lo, std::size_t hi, std::size_t& best) {
+        sketch_pruned_scan(view_.head_data, dims, head_sketch_, view_.split,
+                           lo, hi, query, query_rest_norm, best_dist_sq,
+                           best);
+      },
+      [&](std::size_t lo, std::size_t hi, std::size_t& best) {
+        sketch_pruned_scan(view_.tail_data, dims, tail_sketch_.data(),
+                           tail_stride_, lo, hi, query, query_rest_norm,
+                           best_dist_sq, best);
+      });
 }
 
 std::size_t LeastSquareClassifier::classify(
@@ -362,7 +411,7 @@ std::vector<std::size_t> LeastSquareClassifier::classify_batch(
     HARMONY_REQUIRE(dims != SignatureView::kMixedDims &&
                         queries[q]->size() == dims,
                     "signature arity mismatch");
-    if (sketch_ptr_ != nullptr) {
+    if (sketched_) {
       const double* x = queries[q]->data();
       double rest = 0.0;
       for (std::size_t d = kSketchPrefix; d < dims; ++d) rest += x[d] * x[d];
@@ -373,8 +422,8 @@ std::vector<std::size_t> LeastSquareClassifier::classify_batch(
   const auto fold = [&](std::size_t q, std::size_t lo, std::size_t hi,
                         double& best_d, std::size_t& best_i) {
     const double* x = queries[q]->data();
-    if (sketch_ptr_ == nullptr) {
-      nearest_signature_scan(view_.data, dims, lo, hi, x, best_d, best_i);
+    if (!sketched_) {
+      nearest_signature_scan(view_, lo, hi, x, best_d, best_i);
     } else {
       pruned_scan(lo, hi, x, rest_norms[q], best_d, best_i);
     }
@@ -400,7 +449,8 @@ std::vector<std::size_t> LeastSquareClassifier::classify_batch(
     return best_i;
   }
 
-  // Sharded scan: fixed-size shards (independent of the thread count), each
+  // Sharded scan: fixed-size shards (independent of the thread count; a
+  // shard straddling the head/tail split folds as two row ranges), each
   // folded for every query into its own (distance, index) slot, then
   // reduced in shard order with a strict < — the same lowest index the
   // serial scan finds, at any HARMONY_THREADS setting. Shard 0 goes first,
@@ -418,7 +468,6 @@ std::vector<std::size_t> LeastSquareClassifier::classify_batch(
   for (std::size_t q = 0; q < nq; ++q) {
     seeds[q] = std::nextafter(best_d[q], kInf);
   }
-  constexpr std::size_t kNotFound = static_cast<std::size_t>(-1);
   const std::size_t later = n_shards - 1;
   std::vector<double> slot_d(later * nq);
   std::vector<std::size_t> slot_i(later * nq);
@@ -427,7 +476,7 @@ std::vector<std::size_t> LeastSquareClassifier::classify_batch(
     const std::size_t hi = std::min(count, lo + kShardSize);
     for (std::size_t q = 0; q < nq; ++q) {
       double d = seeds[q];
-      std::size_t idx = kNotFound;
+      std::size_t idx = kNoRow;
       fold(q, lo, hi, d, idx);
       slot_d[k * nq + q] = d;
       slot_i[k * nq + q] = idx;
@@ -436,7 +485,7 @@ std::vector<std::size_t> LeastSquareClassifier::classify_batch(
   for (std::size_t q = 0; q < nq; ++q) {
     for (std::size_t k = 0; k < later; ++k) {
       const std::size_t slot = k * nq + q;
-      if (slot_i[slot] != kNotFound && slot_d[slot] < best_d[q]) {
+      if (slot_i[slot] != kNoRow && slot_d[slot] < best_d[q]) {
         best_d[q] = slot_d[slot];
         best_i[q] = slot_i[slot];
       }
@@ -651,7 +700,10 @@ std::size_t KMeansClassifier::classify(
   if (lo == hi) {
     // Chosen centroid ended up empty (possible with degenerate seeds):
     // fall back to global nearest neighbour.
-    return nearest_signature_blocked(view_.data, view_.count, dims, q);
+    std::size_t best = 0;
+    best_d = std::numeric_limits<double>::infinity();
+    nearest_signature_scan(view_, 0, view_.count, q, best_d, best);
+    return best;
   }
   std::size_t best_member = view_.count;
   best_d = std::numeric_limits<double>::infinity();

@@ -99,6 +99,14 @@ void nearest_signature_scan_scalar(const double* data, std::size_t dims,
                                    const double* query, double& best_dist_sq,
                                    std::size_t& best_index);
 
+/// Two-extent form: folds rows [first, last) of a uniform-arity view,
+/// the head part and then the tail part, carrying the running pair across
+/// the split — the same result as the contiguous fold over one array
+/// holding every row.
+void nearest_signature_scan(const SignatureView& view, std::size_t first,
+                            std::size_t last, const double* query,
+                            double& best_dist_sq, std::size_t& best_index);
+
 /// Explicit-level range fold (benches and differential tests); kScalar runs
 /// the blocked kernel, kAvx2/kAvx512 the in-register-transpose kernels.
 /// Falls back to scalar where the requested ISA is not compiled in.
@@ -112,12 +120,17 @@ void nearest_signature_scan_level(SimdLevel level, const double* data,
 /// `view` (non-empty, uniform arity wider than the sketch prefix).
 [[nodiscard]] bool signature_sketch_applicable(const SignatureView& view);
 
-/// Builds the plane-major prune sketch for `view` into `out`, which must
-/// hold view.count * (kSketchPrefix + 1) doubles: kSketchPrefix coordinate
-/// planes, then the rest-norm plane. This is the exact computation fit()
-/// performs — the snapshot writer persists its output so a store opened
-/// from disk can hand classifiers a bit-identical borrowed sketch.
-void build_signature_sketch(const SignatureView& view, double* out);
+/// Packs the plane-major prune sketch entries of rows [first, last) of
+/// `view` into `out`: kSketchPrefix coordinate planes, then the rest-norm
+/// plane, each `stride` (>= last - first) doubles apart, row i landing at
+/// offset i - first of every plane. Each entry depends only on its own
+/// row, so sketches packed piecewise are bit-identical to one packed whole.
+/// This is the exact computation fit() performs — the snapshot writer
+/// persists its output so a store opened from disk can hand classifiers a
+/// bit-identical borrowed sketch.
+void build_signature_sketch(const SignatureView& view, std::size_t first,
+                            std::size_t last, double* out,
+                            std::size_t stride);
 
 /// Maps an observed signature to the index of the best-matching known
 /// signature. fit() builds the model over a flat SignatureView (the view's
@@ -234,12 +247,15 @@ class Classifier {
 ///
 /// Memory-bound scaling: fit() additionally packs a per-row *sketch* — the
 /// first kSketchPrefix coordinates verbatim plus the L2 norm of the
-/// remaining coordinates. classify() scans the compact sketch array
-/// sequentially and only touches a row's full signature when its exact
-/// prefix distance plus the triangle-inequality bound on the rest could
-/// still beat the running best. Both tests are conservative (the prefix sum
-/// is the literal forward prefix of the full accumulation; the norm bound
-/// is deflated by a rounding margin), so a skipped row provably cannot win
+/// remaining coordinates. The sketch follows the view's two extents: the
+/// head rows' planes are borrowed from the view when it carries them (a
+/// snapshot-backed store), so fit() packs only the tail rows. classify()
+/// scans the compact sketch array sequentially and only touches a row's
+/// full signature when its exact prefix distance plus the
+/// triangle-inequality bound on the rest could still beat the running
+/// best. Both tests are conservative (the prefix sum is the literal
+/// forward prefix of the full accumulation; the norm bound is deflated by
+/// a rounding margin), so a skipped row provably cannot win
 /// under the strict-< argmin and results stay bit-identical to the scalar
 /// reference while the scan reads a fraction of the bytes.
 class LeastSquareClassifier final : public Classifier {
@@ -261,47 +277,55 @@ class LeastSquareClassifier final : public Classifier {
       std::span<const WorkloadSignature* const> queries) const override;
   std::string name() const override { return "least-square"; }
 
-  /// Active sketch storage (introspection for the differential tests): the
-  /// plane-major sketch pointer and its plane stride, or {nullptr, 0} when
-  /// the fitted set is not sketched.
-  [[nodiscard]] const double* sketch_data() const noexcept {
-    return sketch_ptr_;
+  /// Sketch introspection (differential tests, benches). sketched() says
+  /// whether the fitted set is sketched; head_sketch() holds the head
+  /// rows' planes at plane stride split (nullptr when the fitted view has
+  /// no head rows); tail_sketch() holds the tail rows' planes at plane
+  /// stride tail_sketch_stride() >= count - split.
+  [[nodiscard]] bool sketched() const noexcept { return sketched_; }
+  [[nodiscard]] const double* head_sketch() const noexcept {
+    return head_sketch_;
   }
-  [[nodiscard]] std::size_t sketch_stride() const noexcept {
-    return sketch_stride_;
+  [[nodiscard]] const double* tail_sketch() const noexcept {
+    return tail_sketch_.data();
+  }
+  [[nodiscard]] std::size_t tail_sketch_stride() const noexcept {
+    return tail_stride_;
   }
 
  protected:
   /// Exact incremental path: re-point the view and pack the new rows'
-  /// sketch entries. Per-row sketch values depend only on their own row, so
-  /// the result is bit-identical to a fresh fit; never escalates except
-  /// when the sketch applicability or arity changed.
+  /// sketch entries into the tail planes. Per-row sketch values depend only
+  /// on their own row, so the result is bit-identical to a fresh fit; never
+  /// escalates except when the sketch applicability, arity or split
+  /// changed.
   bool update(const SignatureView& view, std::size_t first_new_row) override;
 
  private:
   /// Folds rows [first, last) through the sketch-pruned scan into the
-  /// running (best_dist_sq, best_index) pair; same fold contract as
-  /// nearest_signature_scan. `query_rest_norm` is the L2 norm of the query
-  /// coordinates past the sketch prefix.
+  /// running (best_dist_sq, best_index) pair, head rows then tail rows;
+  /// same fold contract as nearest_signature_scan. `query_rest_norm` is the
+  /// L2 norm of the query coordinates past the sketch prefix.
   void pruned_scan(std::size_t first, std::size_t last, const double* query,
                    double query_rest_norm, double& best_dist_sq,
                    std::size_t& best_index) const;
 
   SignatureView view_{};
-  // Plane-major sketch: kSketchPrefix + 1 contiguous planes of
-  // sketch_stride_ doubles each (plane p < kSketchPrefix holds coordinate p
-  // of every row; the last plane holds the rest-norms), built by fit() when
-  // the view has uniform arity wider than the prefix. Empty otherwise. The
-  // plane layout keeps the SIMD prefix filter on contiguous loads. When the
-  // fitted view carries a borrowed sketch (snapshot-backed store),
-  // sketch_ptr_ aims at it and sketch_ stays empty — zero copies on the
-  // warm-start path. The plane stride is >= view.count: update() grows the
-  // owned buffer with headroom so steady-state appends repack planes only
-  // every ~50% growth, and the scan kernels take the stride as a parameter
-  // (they never bound-check against it).
-  std::vector<double> sketch_;
-  const double* sketch_ptr_ = nullptr;  ///< active sketch, or nullptr
-  std::size_t sketch_stride_ = 0;       ///< plane stride of sketch_ptr_
+  // Plane-major sketch, set when the view has uniform arity wider than the
+  // prefix: kSketchPrefix + 1 planes per extent (plane p < kSketchPrefix
+  // holds coordinate p of every row; the last holds the rest-norms), so the
+  // SIMD prefix filter stays on contiguous loads. The head planes (stride
+  // view_.split) are the view's borrowed head_sketch — zero copies on the
+  // warm-start path — or head_owned_ when the view carries none. The tail
+  // planes are always owned, at a stride >= count - split: update() grows
+  // them with headroom so steady-state appends repack only every ~50%
+  // growth, and the scan kernels take the stride as a parameter (they never
+  // bound-check against it).
+  bool sketched_ = false;
+  const double* head_sketch_ = nullptr;
+  std::vector<double> head_owned_;
+  std::vector<double> tail_sketch_;
+  std::size_t tail_stride_ = 0;
 };
 
 /// Sketch-pruned range fold over a plane-major sketch (the layout

@@ -77,12 +77,12 @@ HistoryDatabase& HistoryDatabase::operator=(const HistoryDatabase& other) {
     sig_offsets_ = other.sig_offsets_;
     sig_dims_ = other.sig_dims_;
     sig_mixed_ = other.sig_mixed_;
-    // The copy shares the (immutable) mapping but starts with an empty
+    // The copy shares the (immutable) mapping — and with it the head
+    // extent — and copies only the owned tail. It starts with an empty
     // decode cache: lazily decoded records are re-decoded on demand, which
     // yields byte-identical values out of the same blob bytes.
     snap_ = other.snap_;
     snap_count_ = other.snap_count_;
-    sig_borrowed_ = other.sig_borrowed_;
     cache_.reset();
     if (snap_count_ > 0) {
       cache_ = std::make_unique<DecodeCache>();
@@ -98,7 +98,7 @@ HistoryDatabase& HistoryDatabase::operator=(const HistoryDatabase& other) {
 }
 
 void HistoryDatabase::append_flat(const WorkloadSignature& sig) {
-  if (sig_offsets_.size() == 1) {
+  if (snap_count_ + sig_offsets_.size() == 1) {  // first row of the index
     sig_dims_ = sig.size();
   } else if (sig.size() != sig_dims_) {
     sig_mixed_ = true;
@@ -108,31 +108,26 @@ void HistoryDatabase::append_flat(const WorkloadSignature& sig) {
 }
 
 void HistoryDatabase::add(ExperienceRecord record) {
-  // A plain add extends the current append chain; the copy-on-write detach
-  // from a borrowed snapshot index does not (the flat store moved, so any
-  // consumer pointers into the old backing are invalid wholesale).
-  const bool cow_detach = sig_borrowed_;
-  ensure_owned_signatures();
+  // A plain append to the owned tail, also right after adopt_snapshot():
+  // the head extent never moves, so the append chain continues.
   append_flat(record.signature);
   records_.push_back(std::move(record));
   version_ = next_signature_version();
-  if (cow_detach) {
-    append_base_ = version_;
-    append_base_rows_ = size();
-  }
 }
 
 void HistoryDatabase::reserve(std::size_t n_records,
                               std::size_t n_signature_values) {
   if (n_records <= size() && n_signature_values == 0) return;
-  // Growth lands in the owned flat store, so a borrowed signature index is
-  // detached now rather than on the first add (one copy either way).
-  if (n_records > size()) ensure_owned_signatures();
-  if (!sig_borrowed_) {
-    sig_offsets_.reserve(n_records + 1);
-    if (n_signature_values > 0) sig_data_.reserve(n_signature_values);
+  // Growth lands in the owned tail; the head rows stay in the mapping, so
+  // the totals are sized net of them.
+  const std::size_t head_values = snap_count_ > 0 ? snap_->value_count() : 0;
+  if (n_records > snap_count_) {
+    sig_offsets_.reserve(n_records - snap_count_ + 1);
+    records_.reserve(n_records - snap_count_);
   }
-  if (n_records > snap_count_) records_.reserve(n_records - snap_count_);
+  if (n_signature_values > head_values) {
+    sig_data_.reserve(n_signature_values - head_values);
+  }
   version_ = next_signature_version();
   // reserve() may reallocate the flat store, so outstanding views (and any
   // delta bookkeeping against them) are invalidated wholesale.
@@ -152,7 +147,6 @@ void HistoryDatabase::adopt_snapshot(
               : sig_mixed_     ? snap->sig_offsets()[1]
                                : snap->uniform_dims();
   snap_ = std::move(snap);
-  sig_borrowed_ = snap_count_ > 0;
   cache_.reset();
   if (snap_count_ > 0) {
     cache_ = std::make_unique<DecodeCache>();
@@ -163,22 +157,28 @@ void HistoryDatabase::adopt_snapshot(
   append_base_rows_ = size();
 }
 
-void HistoryDatabase::ensure_owned_signatures() {
-  if (!sig_borrowed_) return;
-  const std::size_t n = snap_count_;
-  const std::size_t* off = snap_->sig_offsets();
-  const double* data = snap_->sig_data();
-  sig_offsets_.assign(off, off + n + 1);
-  sig_data_.assign(data, data + off[n]);
-  sig_borrowed_ = false;
-}
-
 void HistoryDatabase::materialize() {
   if (snap_count_ == 0) {
     snap_.reset();
     return;
   }
-  ensure_owned_signatures();
+  // The mapped head rows move in front of the owned tail, whose offsets
+  // shift by the head's value count.
+  const std::size_t* head_off = snap_->sig_offsets();
+  const double* head_data = snap_->sig_data();
+  const std::size_t head_values = head_off[snap_count_];
+  std::vector<double> data;
+  data.reserve(head_values + sig_data_.size());
+  data.insert(data.end(), head_data, head_data + head_values);
+  data.insert(data.end(), sig_data_.begin(), sig_data_.end());
+  std::vector<std::size_t> offsets;
+  offsets.reserve(snap_count_ + sig_offsets_.size());
+  offsets.insert(offsets.end(), head_off, head_off + snap_count_);
+  for (const std::size_t off : sig_offsets_) {
+    offsets.push_back(head_values + off);
+  }
+  sig_data_ = std::move(data);
+  sig_offsets_ = std::move(offsets);
   std::vector<ExperienceRecord> all;
   all.reserve(snap_count_ + records_.size());
   for (std::size_t i = 0; i < snap_count_; ++i) {
@@ -197,7 +197,6 @@ void HistoryDatabase::materialize() {
 void HistoryDatabase::reset_snapshot_state() {
   snap_.reset();
   snap_count_ = 0;
-  sig_borrowed_ = false;
   cache_.reset();
 }
 
@@ -244,16 +243,15 @@ std::vector<WorkloadSignature> HistoryDatabase::signatures() const {
 
 SignatureView HistoryDatabase::signature_view() const noexcept {
   SignatureView v;
-  if (sig_borrowed_) {
-    v.data = snap_->sig_data();
-    v.offsets = snap_->sig_offsets();
-    v.count = snap_count_;
-    v.sketch = snap_->sketch();
-  } else {
-    v.data = sig_data_.data();
-    v.offsets = sig_offsets_.data();
-    v.count = sig_offsets_.size() - 1;
+  if (snap_count_ > 0) {
+    v.head_data = snap_->sig_data();
+    v.head_offsets = snap_->sig_offsets();
+    v.head_sketch = snap_->sketch();
+    v.split = snap_count_;
   }
+  v.tail_data = sig_data_.data();
+  v.tail_offsets = sig_offsets_.data();
+  v.count = snap_count_ + sig_offsets_.size() - 1;
   v.dims = sig_mixed_ ? SignatureView::kMixedDims : sig_dims_;
   v.version = version_;
   v.append_base = append_base_;

@@ -8,12 +8,13 @@
 // observed one and warm-start the tuner from it. The database persists to a
 // versioned line-oriented text format.
 //
-// Classification hot path: signatures are mirrored into a flat contiguous
-// store (one double array plus record offsets) exposed as a SignatureView,
-// so classifiers scan cache-line-dense rows instead of chasing a
-// vector-of-vectors. A monotonically increasing, process-unique version
-// stamps every mutation; fitted classifiers compare it to decide when their
-// model must be rebuilt.
+// Classification hot path: signatures are mirrored into flat contiguous
+// stores (one double array plus record offsets each: the rows borrowed from
+// an adopted snapshot, then the rows appended since) exposed as a
+// SignatureView, so classifiers scan cache-line-dense rows instead of
+// chasing a vector-of-vectors. A monotonically increasing, process-unique
+// version stamps every mutation; fitted classifiers compare it to decide
+// when their model must be rebuilt.
 #pragma once
 
 #include <atomic>
@@ -50,42 +51,62 @@ using WorkloadSignature = std::vector<double>;
 /// version can never collide across database instances.
 [[nodiscard]] std::uint64_t next_signature_version() noexcept;
 
-/// Zero-copy window over a flat signature store: `count` records whose
-/// values live back to back in `data`, record i occupying
-/// [offsets[i], offsets[i+1]). The view borrows the backing storage — it is
-/// valid until the owner mutates or dies; consumers detect staleness by
-/// comparing `version` (never 0) against the owner's current version.
+/// Zero-copy window over a signature index of `count` records, stored as
+/// two extents:
+///
+///   head  rows [0, split): `head_data` / `head_offsets`, plus an optional
+///         precomputed sketch. A snapshot-backed database borrows these
+///         straight from its mapping.
+///   tail  rows [split, count): `tail_data` / `tail_offsets`, the rows the
+///         owner appended itself (every row, for a database that never
+///         adopted a snapshot).
+///
+/// Within an extent record values live back to back: head row i occupies
+/// head_data[head_offsets[i], head_offsets[i+1]) and tail row split + j
+/// occupies tail_data[tail_offsets[j], tail_offsets[j+1]); both offset
+/// arrays start at 0. row(i) picks the extent, so a consumer walking rows
+/// one by one never sees the split; a kernel that scans contiguous memory
+/// folds the head range, then the tail range, carrying its running state
+/// across. A default-constructed view has split 0: an ad-hoc view fills in
+/// only the tail. The view borrows both extents — it is valid until the
+/// owner mutates or dies; consumers detect staleness by comparing `version`
+/// (never 0) against the owner's current version.
 struct SignatureView {
   /// Sentinel for `dims` when records disagree on arity.
   static constexpr std::size_t kMixedDims = static_cast<std::size_t>(-1);
 
-  const double* data = nullptr;
-  const std::size_t* offsets = nullptr;  ///< count + 1 entries, offsets[0]==0
+  const double* head_data = nullptr;
+  const std::size_t* head_offsets = nullptr;  ///< split + 1 entries
+  /// Optional plane-major prune sketch of the head rows
+  /// (LeastSquareClassifier layout: kSketchPrefix coordinate planes of
+  /// `split` doubles, then the rest-norm plane). Snapshot-backed databases
+  /// expose the sketch section persisted next to the signature index so
+  /// fit() borrows it instead of rebuilding; nullptr means "build your own".
+  const double* head_sketch = nullptr;
+  std::size_t split = 0;  ///< rows in the head extent
+  const double* tail_data = nullptr;
+  const std::size_t* tail_offsets = nullptr;  ///< count - split + 1 entries
   std::size_t count = 0;
   std::size_t dims = 0;  ///< uniform record arity, or kMixedDims
   std::uint64_t version = 0;
   /// Append-chain identity: the version stamp the owner drew at its last
-  /// structural mutation (copy, reserve, adopt, materialize, load, CoW
-  /// detach). Within one chain the owner only appends, so a consumer fitted
-  /// at N rows under the same append_base may treat rows [0, N) as
-  /// value-identical and consume rows [N, count) as a pure delta. 0 means
-  /// "no chain": ad-hoc views never qualify for incremental maintenance.
+  /// structural mutation (copy, reserve, adopt, materialize, load). Within
+  /// one chain the owner only appends to the tail, so a consumer fitted at
+  /// N rows under the same append_base may treat rows [0, N) as
+  /// value-identical (and `split` as unchanged) and consume rows
+  /// [N, count) as a pure delta. 0 means "no chain": ad-hoc views never
+  /// qualify for incremental maintenance.
   std::uint64_t append_base = 0;
-  /// Optional precomputed plane-major sketch borrowed with the store
-  /// (LeastSquareClassifier layout: kSketchPrefix coordinate planes of
-  /// `count` doubles, then the rest-norm plane). Snapshot-backed databases
-  /// expose the sketch section persisted next to the signature index so
-  /// fit() can borrow it instead of rebuilding; nullptr means "build your
-  /// own". Same lifetime as `data`.
-  const double* sketch = nullptr;
 
   [[nodiscard]] bool empty() const noexcept { return count == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return count; }
   [[nodiscard]] std::size_t arity(std::size_t i) const noexcept {
-    return offsets[i + 1] - offsets[i];
+    return i < split ? head_offsets[i + 1] - head_offsets[i]
+                     : tail_offsets[i - split + 1] - tail_offsets[i - split];
   }
   [[nodiscard]] const double* row(std::size_t i) const noexcept {
-    return data + offsets[i];
+    return i < split ? head_data + head_offsets[i]
+                     : tail_data + tail_offsets[i - split];
   }
 };
 
@@ -118,24 +139,27 @@ class HistoryDatabase {
   /// Pre-sizes the store for a total of `n_records` records carrying
   /// `n_signature_values` signature doubles overall (0 = unknown), so a
   /// bulk ingest (log replay, bench generation) avoids incremental SoA
-  /// regrowth. Counts are totals including already-present records. May
-  /// reallocate the flat store: outstanding SignatureViews are invalidated
-  /// (the version stamp moves), exactly as for any other mutation.
+  /// regrowth. Counts are totals including already-present records; only
+  /// the owned tail is sized (rows borrowed from an adopted snapshot stay
+  /// in the mapping). May reallocate the tail: outstanding SignatureViews
+  /// are invalidated and the append chain restarts (the version stamp
+  /// moves), exactly as for any other structural mutation.
   void reserve(std::size_t n_records, std::size_t n_signature_values = 0);
 
   /// Replaces the contents with the records of an mmap'd snapshot, borrowed
-  /// zero-copy: signature_view() points straight into the mapping (sketch
-  /// included when the snapshot carries one) and records are decoded
-  /// lazily, on first access, under an internal lock — record(i) stays safe
-  /// to call from concurrent readers. The first add() copies the signature
-  /// index into owned storage (the mapping stays referenced for record
-  /// decode); the version stamp machinery is unchanged, so fit-once
-  /// classifiers keep working against borrowed views.
+  /// zero-copy: the head extent of signature_view() points straight into
+  /// the mapping (sketch included when the snapshot carries one) and
+  /// records are decoded lazily, on first access, under an internal lock —
+  /// record(i) stays safe to call from concurrent readers. Later add()s
+  /// append to the owned tail extent and extend the append chain this call
+  /// starts; no path copies the mapped rows except materialize().
   void adopt_snapshot(std::shared_ptr<const SnapshotMapping> snap);
 
-  /// Decodes every snapshot-backed record into owned storage and drops the
-  /// mapping reference. Outstanding record references are invalidated (the
-  /// version stamp moves). No-op for a database that owns its records.
+  /// Decodes every snapshot-backed record into owned storage, copies the
+  /// mapped signature rows into the owned flat store (the view becomes one
+  /// tail extent), and drops the mapping reference. Outstanding record
+  /// references are invalidated (the version stamp moves). No-op for a
+  /// database that owns its records.
   void materialize();
 
   /// The adopted snapshot backing, or nullptr. Records with index below
@@ -214,8 +238,6 @@ class HistoryDatabase {
   };
 
   void append_flat(const WorkloadSignature& sig);
-  /// Copy-on-write: detaches the flat signature store from the mapping.
-  void ensure_owned_signatures();
   /// Drops all snapshot-borrowing state (load()/assignment reset path).
   void reset_snapshot_state();
 
@@ -224,8 +246,9 @@ class HistoryDatabase {
   // records_[i - snap_count_]; records below snap_count_ decode lazily out
   // of the mapping through cache_.
   std::vector<ExperienceRecord> records_;
-  // Flat mirror of the record signatures (SoA hot path). Empty while
-  // sig_borrowed_: the view then points into the mapping.
+  // Flat mirror of the owned records' signatures (SoA hot path): the tail
+  // extent of signature_view(). Rows below snap_count_ are the head extent
+  // and stay in the mapping.
   std::vector<double> sig_data_;
   std::vector<std::size_t> sig_offsets_ = {0};
   std::size_t sig_dims_ = 0;  ///< arity of the first record
@@ -240,7 +263,6 @@ class HistoryDatabase {
 
   std::shared_ptr<const SnapshotMapping> snap_;
   std::size_t snap_count_ = 0;  ///< records served from the mapping
-  bool sig_borrowed_ = false;   ///< signature_view() points into the mapping
   std::unique_ptr<DecodeCache> cache_;
 };
 

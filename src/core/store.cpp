@@ -538,33 +538,36 @@ void ExperienceStore::write_snapshot_file(const std::string& path,
   const std::size_t count = db.size();
   HARMONY_REQUIRE(view.count == count,
                   "snapshot source database in inconsistent state");
-  const std::size_t values = view.offsets[count];
+  // The file's index is the view's head extent followed by its tail, whose
+  // offsets shift by the head's value count.
+  const std::size_t split = view.split;
+  const std::size_t tail = count - split;
+  const std::size_t head_values = split > 0 ? view.head_offsets[split] : 0;
+  const std::size_t values = head_values + view.tail_offsets[tail];
 
   // The prune sketch is persisted whenever fit() would build one, so a
   // reopened store hands classifiers a bit-identical borrowed sketch and
-  // cold start skips the full O(values) rebuild pass.
+  // cold start skips the full O(values) rebuild pass. Head planes already
+  // in the current mapping are written out as they are; only the rows
+  // without one are packed.
   const std::size_t sketch_planes = LeastSquareClassifier::kSketchPrefix + 1;
-  std::vector<double> sketch_built;
-  const double* sketch = nullptr;
-  if (signature_sketch_applicable(view)) {
-    if (view.sketch != nullptr) {
-      sketch = view.sketch;  // borrowed from the current mapping, reuse as-is
-    } else {
-      sketch_built.resize(count * sketch_planes);
-      build_signature_sketch(view, sketch_built.data());
-      sketch = sketch_built.data();
-    }
+  const bool has_sketch = signature_sketch_applicable(view);
+  const std::size_t packed_from = view.head_sketch != nullptr ? split : 0;
+  std::vector<double> packed;
+  if (has_sketch) {
+    packed.resize((count - packed_from) * sketch_planes);
+    build_signature_sketch(view, packed_from, count, packed.data(),
+                           count - packed_from);
   }
 
   // Section positions (all 8-aligned because every section is a multiple of
   // 8 bytes except the blob, which comes last).
   const std::uint64_t sig_offsets_pos = kSnapHeaderSize;
   const std::uint64_t sig_data_pos = sig_offsets_pos + (count + 1) * 8;
-  const std::uint64_t sketch_pos =
-      sketch != nullptr ? sig_data_pos + values * 8 : 0;
+  const std::uint64_t sketch_pos = has_sketch ? sig_data_pos + values * 8 : 0;
   const std::uint64_t rec_offsets_pos =
-      (sketch != nullptr ? sketch_pos + count * sketch_planes * 8
-                         : sig_data_pos + values * 8);
+      (has_sketch ? sketch_pos + count * sketch_planes * 8
+                  : sig_data_pos + values * 8);
   const std::uint64_t rec_blob_pos = rec_offsets_pos + (count + 1) * 8;
 
   // Record blob offsets. Snapshot-backed records whose blobs already live in
@@ -595,7 +598,7 @@ void ExperienceStore::write_snapshot_file(const std::string& path,
     put<std::uint64_t>(out, values);
     std::uint64_t flags = 0;
     if (view.dims == SignatureView::kMixedDims) flags |= kFlagMixedDims;
-    if (sketch != nullptr) flags |= kFlagHasSketch;
+    if (has_sketch) flags |= kFlagHasSketch;
     put<std::uint64_t>(out, flags);
     put<std::uint64_t>(out,
                        view.dims == SignatureView::kMixedDims ? 0 : view.dims);
@@ -613,14 +616,28 @@ void ExperienceStore::write_snapshot_file(const std::string& path,
   FileWriter w(path, FileWriter::Mode::kTruncate, budget_ptr_);
   w.write(header, sizeof(header));
   if constexpr (sizeof(std::size_t) == sizeof(std::uint64_t)) {
-    w.write(view.offsets, (count + 1) * 8);
+    w.write(view.head_offsets, split * 8);
   } else {
-    std::vector<std::uint64_t> wide(view.offsets, view.offsets + count + 1);
-    w.write(wide.data(), (count + 1) * 8);
+    std::vector<std::uint64_t> wide(view.head_offsets,
+                                    view.head_offsets + split);
+    w.write(wide.data(), split * 8);
   }
-  w.write(view.data, values * sizeof(double));
-  if (sketch != nullptr) {
-    w.write(sketch, count * sketch_planes * sizeof(double));
+  std::vector<std::uint64_t> tail_offsets(tail + 1);
+  for (std::size_t j = 0; j <= tail; ++j) {
+    tail_offsets[j] = head_values + view.tail_offsets[j];
+  }
+  w.write(tail_offsets.data(), (tail + 1) * 8);
+  w.write(view.head_data, head_values * sizeof(double));
+  w.write(view.tail_data, (values - head_values) * sizeof(double));
+  if (has_sketch) {
+    const std::size_t n_packed = count - packed_from;
+    for (std::size_t p = 0; p < sketch_planes; ++p) {
+      if (packed_from > 0) {
+        w.write(view.head_sketch + p * packed_from,
+                packed_from * sizeof(double));
+      }
+      w.write(packed.data() + p * n_packed, n_packed * sizeof(double));
+    }
   }
   w.write(rec_offsets.data(), (count + 1) * 8);
   // Blobs, batched through a scratch buffer so writes stay few and large.

@@ -2,7 +2,8 @@
 // sharded least-square scan determinism, fit-once/classify-many lifecycle
 // (auto-refit on database version bumps), partial-selection best(), and the
 // batched read path (classify_batch == a loop of classify, retrieve_batch
-// rejections).
+// rejections), and two-extent views (a head/tail split anywhere classifies
+// exactly like the contiguous set).
 #include <algorithm>
 #include <limits>
 #include <memory>
@@ -16,6 +17,7 @@
 #include "core/history.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace harmony {
@@ -26,6 +28,17 @@ std::vector<double> random_rows(Rng& rng, std::size_t count,
   std::vector<double> data(count * dims);
   for (double& v : data) v = rng.uniform01();
   return data;
+}
+
+/// Every row of a uniform-arity view, whichever extent holds it, copied
+/// into one contiguous array (the scalar reference scan's input).
+std::vector<double> flatten(const SignatureView& view) {
+  std::vector<double> flat;
+  flat.reserve(view.count * view.dims);
+  for (std::size_t i = 0; i < view.count; ++i) {
+    flat.insert(flat.end(), view.row(i), view.row(i) + view.dims);
+  }
+  return flat;
 }
 
 TEST(SignatureKernels, BlockedMatchesScalarBitForBit) {
@@ -110,12 +123,13 @@ TEST(LeastSquareClassifier, SketchPrunedScanMatchesScalarAcrossDims) {
     LeastSquareClassifier ls;
     ls.fit(db.signature_view());
     const SignatureView view = db.signature_view();
+    const std::vector<double> flat = flatten(view);
     for (int q = 0; q < 50; ++q) {
       WorkloadSignature obs(dims);
       const double anchor = static_cast<double>(q % 5);
       for (double& v : obs) v = anchor + rng.uniform(-0.02, 0.02);
       EXPECT_EQ(ls.classify(obs),
-                nearest_signature_scalar(view.data, view.count, view.dims,
+                nearest_signature_scalar(flat.data(), view.count, view.dims,
                                          obs.data()))
           << "dims=" << dims;
     }
@@ -151,13 +165,14 @@ TEST(LeastSquareClassifier, ShardedScanBitIdenticalAtAnyThreadCount) {
   }
 
   const SignatureView view = db.signature_view();
+  const std::vector<double> flat = flatten(view);
   for (const unsigned threads : {1u, 8u}) {
     set_thread_count(threads);
     LeastSquareClassifier ls;
     ls.fit(view);
     for (const auto& obs : queries) {
       EXPECT_EQ(ls.classify(obs),
-                nearest_signature_scalar(view.data, view.count, view.dims,
+                nearest_signature_scalar(flat.data(), view.count, view.dims,
                                          obs.data()));
     }
     EXPECT_EQ(ls.classify(tie_query), 100u);
@@ -287,6 +302,8 @@ void expect_batch_matches_loop(const Classifier& c,
                                const std::vector<WorkloadSignature>& queries,
                                const SignatureView* view = nullptr) {
   const auto ptrs = pointers(queries);
+  const std::vector<double> flat =
+      view != nullptr ? flatten(*view) : std::vector<double>{};
   for (const unsigned threads : {1u, 8u}) {
     SCOPED_TRACE(testing::Message() << c.name() << " at " << threads
                                     << " threads, " << queries.size()
@@ -298,7 +315,7 @@ void expect_batch_matches_loop(const Classifier& c,
       EXPECT_EQ(batch[q], c.classify(queries[q])) << "query " << q;
       if (view != nullptr) {
         EXPECT_EQ(batch[q],
-                  nearest_signature_scalar(view->data, view->count,
+                  nearest_signature_scalar(flat.data(), view->count,
                                            view->dims, queries[q].data()))
             << "query " << q;
       }
@@ -347,7 +364,7 @@ TEST(ClassifyBatch, LeastSquareMatchesLoopAcrossCountsAndShapes) {
       const SignatureView view = db.signature_view();
       LeastSquareClassifier ls;
       ls.fit(view);
-      EXPECT_EQ(ls.sketch_data() != nullptr, dims == 6u);
+      EXPECT_EQ(ls.sketched(), dims == 6u);
       expect_batch_matches_loop(ls, make_queries(rng, 40, dims), &view);
     }
   }
@@ -374,15 +391,20 @@ TEST(ClassifyBatch, BorrowedAndIncrementallyGrownSketches) {
   add_rows(db, rng, 2 * kShard + 500, dims);
   const std::vector<WorkloadSignature> queries = make_queries(rng, 24, dims);
 
-  // Snapshot-style borrowed sketch: fit() adopts the view's sketch pointer.
-  SignatureView borrowed = db.signature_view();
+  // Snapshot-style borrowed sketch: every row in the head extent, and
+  // fit() adopts the view's head sketch pointer.
+  const SignatureView owned = db.signature_view();
+  SignatureView borrowed = owned;
+  borrowed.head_data = owned.tail_data;
+  borrowed.head_offsets = owned.tail_offsets;
+  borrowed.split = owned.count;
   std::vector<double> sketch(borrowed.count *
                              (LeastSquareClassifier::kSketchPrefix + 1));
-  build_signature_sketch(borrowed, sketch.data());
-  borrowed.sketch = sketch.data();
+  build_signature_sketch(owned, 0, owned.count, sketch.data(), owned.count);
+  borrowed.head_sketch = sketch.data();
   LeastSquareClassifier from_snapshot;
   from_snapshot.fit(borrowed);
-  ASSERT_EQ(from_snapshot.sketch_data(), sketch.data());
+  ASSERT_EQ(from_snapshot.head_sketch(), sketch.data());
   expect_batch_matches_loop(from_snapshot, queries, &borrowed);
 
   // Incremental growth repacks the planes with headroom: stride > count.
@@ -397,7 +419,7 @@ TEST(ClassifyBatch, BorrowedAndIncrementallyGrownSketches) {
   grown.refit(view);
   set_incremental_fit(incremental);
   ASSERT_EQ(grown.refit_stats().incremental, 1u);
-  ASSERT_GT(grown.sketch_stride(), view.count);
+  ASSERT_GT(grown.tail_sketch_stride(), view.count);
   expect_batch_matches_loop(grown, queries, &view);
 }
 
@@ -458,7 +480,7 @@ TEST(ClassifyBatch, ShardZeroBestTyingALowerBoundRowKeepsLowestIndex) {
     const SignatureView view = db.signature_view();
     LeastSquareClassifier ls;
     ls.fit(view);
-    ASSERT_NE(ls.sketch_data(), nullptr);
+    ASSERT_TRUE(ls.sketched());
     expect_batch_matches_loop(ls, {query, query}, &view);
     set_thread_count(8);
     EXPECT_EQ(ls.classify_batch(pointers({query})).front(),
@@ -480,6 +502,141 @@ TEST(ClassifyBatch, KMeansAndTreeUseTheDefaultPath) {
   const std::vector<WorkloadSignature> queries = make_queries(rng, 33, dims);
   expect_batch_matches_loop(km, queries);
   expect_batch_matches_loop(tree, queries, &view);  // the tree is exact
+}
+
+// ---------------------------------------------------------------------------
+// Two-extent views: a snapshot-backed database serves its rows as a borrowed
+// head extent plus an owned tail. Wherever the split falls — not a multiple
+// of the SIMD block, inside a shard, on a shard boundary — every classifier
+// must answer exactly as over the same rows stored contiguously.
+
+/// `whole` (an in-memory view: every row in its tail extent) re-cut at
+/// `split`: rows [0, split) become the head extent, borrowing `head_sketch`
+/// (nullptr: none), and the rest stay the tail with offsets rebased into
+/// `tail_offsets`.
+SignatureView split_view(const SignatureView& whole, std::size_t split,
+                         const double* head_sketch,
+                         std::vector<std::size_t>& tail_offsets) {
+  SignatureView v = whole;
+  v.head_data = whole.tail_data;
+  v.head_offsets = whole.tail_offsets;
+  v.head_sketch = head_sketch;
+  v.split = split;
+  const std::size_t base = whole.tail_offsets[split];
+  tail_offsets.assign(whole.tail_offsets + split,
+                      whole.tail_offsets + whole.count + 1);
+  for (std::size_t& off : tail_offsets) off -= base;
+  v.tail_data = whole.tail_data + base;
+  v.tail_offsets = tail_offsets.data();
+  return v;
+}
+
+TEST(SplitViews, EveryClassifierMatchesTheContiguousSet) {
+  const SimdLevel prev_level = simd_level();
+  // Inside shard 0 and not a multiple of 4; inside shard 1; exactly on a
+  // shard boundary.
+  const std::size_t splits[] = {1001, kShard + 4099, 2 * kShard};
+  for (const std::size_t dims : {3u, 6u}) {
+    Rng rng(606);
+    HistoryDatabase rows;
+    add_rows(rows, rng, 3 * kShard + 37, dims);
+    // Across each split, row split + 7 repeats row split - 5 (the same
+    // shard, except at the shard boundary): the least-square scan must
+    // resolve the tie to the head row. The tree resolves ties in its own
+    // search order, the same for either layout.
+    std::vector<WorkloadSignature> sigs = rows.signatures();
+    std::vector<WorkloadSignature> queries = make_queries(rng, 20, dims);
+    for (const std::size_t split : splits) {
+      sigs[split + 7] = sigs[split - 5];
+      queries.push_back(sigs[split - 5]);
+    }
+    HistoryDatabase db;
+    for (WorkloadSignature& sig : sigs) {
+      ExperienceRecord rec;
+      rec.signature = std::move(sig);
+      db.add(std::move(rec));
+    }
+    const SignatureView whole = db.signature_view();
+
+    KMeansClassifier km_whole(12, 4, 10);
+    km_whole.fit(whole);
+    DecisionTreeClassifier tree_whole(8);
+    tree_whole.fit(whole);
+
+    for (const std::size_t split : splits) {
+      for (const bool borrow : {false, true}) {
+        if (borrow && dims != 6u) continue;
+        SCOPED_TRACE(testing::Message() << "dims " << dims << ", split "
+                                        << split << ", borrowed sketch "
+                                        << borrow);
+        // The head planes of a sketch at stride `split`, as a snapshot
+        // persists them.
+        std::vector<double> head;
+        if (borrow) {
+          head.resize(split * (LeastSquareClassifier::kSketchPrefix + 1));
+          build_signature_sketch(whole, 0, split, head.data(), split);
+        }
+        std::vector<std::size_t> tail_offsets;
+        const SignatureView view = split_view(
+            whole, split, borrow ? head.data() : nullptr, tail_offsets);
+        for (const SimdLevel level :
+             {SimdLevel::kScalar, simd_max_supported()}) {
+          set_simd_level(level);
+          LeastSquareClassifier ls;
+          ls.fit(view);
+          EXPECT_EQ(ls.sketched(), dims == 6u);
+          if (borrow) {
+            EXPECT_EQ(ls.head_sketch(), head.data());
+          }
+          // Against a loop of classify and the scalar reference over the
+          // contiguous rows, at 1 and 8 threads.
+          expect_batch_matches_loop(ls, queries, &whole);
+          for (const std::size_t s : splits) {
+            EXPECT_EQ(ls.classify(db.record(s - 5).signature), s - 5);
+          }
+        }
+        set_simd_level(prev_level);
+
+        KMeansClassifier km(12, 4, 10);
+        km.fit(view);
+        DecisionTreeClassifier tree(8);
+        tree.fit(view);
+        for (const WorkloadSignature& q : queries) {
+          EXPECT_EQ(km.classify(q), km_whole.classify(q));
+          EXPECT_EQ(tree.classify(q), tree_whole.classify(q));
+        }
+      }
+    }
+  }
+}
+
+TEST(SplitViews, IncrementalTailGrowthMatchesAFreshFit) {
+  const bool incremental = incremental_fit_enabled();
+  set_incremental_fit(true);
+  Rng rng(707);
+  const std::size_t dims = 6;
+  HistoryDatabase db;
+  add_rows(db, rng, 2 * kShard + 900, dims);
+  const SignatureView whole = db.signature_view();
+  const std::size_t split = kShard + 3;
+  std::vector<double> head(split * (LeastSquareClassifier::kSketchPrefix + 1));
+  build_signature_sketch(whole, 0, split, head.data(), split);
+  // Two views of one append chain: the fitted one ends 500 rows early.
+  std::vector<std::size_t> offsets_small, offsets_full;
+  SignatureView small = split_view(whole, split, head.data(), offsets_small);
+  small.count = whole.count - 500;
+  small.version = next_signature_version();
+  const SignatureView full =
+      split_view(whole, split, head.data(), offsets_full);
+  LeastSquareClassifier grown;
+  grown.refit(small);
+  grown.refit(full);
+  set_incremental_fit(incremental);
+  EXPECT_EQ(grown.refit_stats().full, 1u);
+  EXPECT_EQ(grown.refit_stats().incremental, 1u);
+  EXPECT_EQ(grown.head_sketch(), head.data());
+  EXPECT_GE(grown.tail_sketch_stride(), full.count - split);
+  expect_batch_matches_loop(grown, make_queries(rng, 24, dims), &whole);
 }
 
 // retrieve_batch and the analyzer's query checks, for every classifier.

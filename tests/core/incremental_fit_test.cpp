@@ -8,9 +8,10 @@
 // The quality-gated k-means path is pinned to its hysteresis contract
 // (absorb small deltas, escalate on drift) with the full rebuild as the
 // oracle via set_incremental_fit(false). Chain-identity bookkeeping is
-// pinned too: pure appends extend the chain, every structural mutation
-// (copy, reserve, load, snapshot adopt, CoW detach, materialize) resets it
-// and forces a counted full refit.
+// pinned too: pure appends extend the chain — including the first append
+// after a snapshot adopt — and every structural mutation (copy, reserve,
+// load, snapshot adopt, materialize) resets it and forces a counted full
+// refit.
 //
 // Separate binary so the sanitizer CI jobs can name it: the sharded
 // least-square classify drives the thread pool at several worker counts.
@@ -27,6 +28,7 @@
 #include "core/estimator.hpp"
 #include "core/history.hpp"
 #include "core/protocol.hpp"
+#include "core/server.hpp"
 #include "core/store.hpp"
 #include "util/mmap_file.hpp"
 #include "util/rng.hpp"
@@ -157,14 +159,17 @@ TEST(LeastSquareIncremental, AppendBitIdenticalAcrossThreadsAndSimd) {
       for (const WorkloadSignature& p : make_probes(rng, kDims, 16)) {
         EXPECT_EQ(inc.classify(p), full.classify(p));
       }
-      ASSERT_NE(inc.sketch_data(), nullptr);
-      ASSERT_NE(full.sketch_data(), nullptr);
+      // In memory every row is in the tail extent.
+      ASSERT_TRUE(inc.sketched());
+      ASSERT_TRUE(full.sketched());
       const std::size_t count = db.signature_view().count;
-      ASSERT_GE(inc.sketch_stride(), count);
+      ASSERT_GE(inc.tail_sketch_stride(), count);
       for (std::size_t plane = 0;
            plane <= LeastSquareClassifier::kSketchPrefix; ++plane) {
-        const double* a = inc.sketch_data() + plane * inc.sketch_stride();
-        const double* b = full.sketch_data() + plane * full.sketch_stride();
+        const double* a =
+            inc.tail_sketch() + plane * inc.tail_sketch_stride();
+        const double* b =
+            full.tail_sketch() + plane * full.tail_sketch_stride();
         for (std::size_t i = 0; i < count; ++i) {
           ASSERT_EQ(a[i], b[i])
           << "plane " << plane << " row " << i << " threads " << threads
@@ -186,7 +191,7 @@ TEST(LeastSquareIncremental, NarrowUnsketchedSetStaysExact) {
   append_records(db, rng, kDims, 20);
   inc.refit(db.signature_view());
   EXPECT_EQ(inc.refit_stats().incremental, 1u);
-  EXPECT_EQ(inc.sketch_data(), nullptr);
+  EXPECT_FALSE(inc.sketched());
   LeastSquareClassifier full;
   full.fit(db.signature_view());
   for (const WorkloadSignature& p : make_probes(rng, kDims, 16)) {
@@ -237,26 +242,30 @@ TEST(LeastSquareIncremental, StructuralMutationsForceCountedFullRefit) {
   EXPECT_EQ(c.refit_stats().full, 4u);
 }
 
-TEST(LeastSquareIncremental, SnapshotAdoptAndCowDetachResetTheChain) {
+/// Writes a store at `prefix` holding `n` 8-dim records, all inside its
+/// snapshot (the log is empty), as a cleanly shut down server leaves it.
+void write_snapshot_store(const std::string& prefix, Rng& rng,
+                          std::size_t n) {
+  remove_file(ExperienceStore::log_path(prefix));
+  remove_file(ExperienceStore::snapshot_path(prefix));
+  HistoryDatabase db;
+  ExperienceStore store;
+  store.open(prefix, db);
+  for (std::size_t i = 0; i < n; ++i) {
+    ExperienceRecord rec = make_record(rng, 8, i);
+    store.append(rec);
+    db.add(std::move(rec));
+  }
+  store.snapshot(db);
+  store.close();
+}
+
+TEST(LeastSquareIncremental, SnapshotAdoptStartsAChainThatAppendsExtend) {
   ConfigGuard guard;
   const std::string prefix =
       ::testing::TempDir() + "/harmony_incfit_store";
-  remove_file(ExperienceStore::log_path(prefix));
-  remove_file(ExperienceStore::snapshot_path(prefix));
   Rng rng(9);
-  {
-    HistoryDatabase db;
-    ExperienceStore store;
-    store.open(prefix, db);
-    for (std::size_t i = 0; i < 40; ++i) {
-      ExperienceRecord rec = make_record(rng, 8, i);
-      store.append(rec);
-      db.add(std::move(rec));
-    }
-    store.commit();
-    store.snapshot(db);
-    store.close();
-  }
+  write_snapshot_store(prefix, rng, 40);
   HistoryDatabase db;
   ExperienceStore store;
   const RecoveryInfo info = store.open(prefix, db);
@@ -265,20 +274,56 @@ TEST(LeastSquareIncremental, SnapshotAdoptAndCowDetachResetTheChain) {
 
   LeastSquareClassifier c;
   c.refit(db.signature_view());  // full #1 over the borrowed mapping
-  // First add() detaches copy-on-write from the mapping: the flat store
-  // moved, so the chain resets and this delta must NOT be absorbed.
-  db.add(make_record(rng, 8, db.size()));
-  c.refit(db.signature_view());  // full #2
-  EXPECT_EQ(c.refit_stats().full, 2u);
-  EXPECT_EQ(c.refit_stats().incremental, 0u);
-  // Now the store is owned: further appends extend the new chain.
+  // add() appends to the owned tail; the mapped head never moves, so the
+  // chain adopt_snapshot() started continues and the delta is absorbed.
   db.add(make_record(rng, 8, db.size()));
   c.refit(db.signature_view());
-  EXPECT_EQ(c.refit_stats().incremental, 1u);
-  // materialize() is a structural mutation too.
+  db.add(make_record(rng, 8, db.size()));
+  c.refit(db.signature_view());
+  EXPECT_EQ(c.refit_stats().full, 1u);
+  EXPECT_EQ(c.refit_stats().incremental, 2u);
+  EXPECT_EQ(c.head_sketch(), db.snapshot_backing()->sketch());
+  LeastSquareClassifier fresh;
+  fresh.fit(db.signature_view());
+  for (const WorkloadSignature& p : make_probes(rng, 8, 16)) {
+    EXPECT_EQ(c.classify(p), fresh.classify(p));
+  }
+  // materialize() is a structural mutation.
   db.materialize();
   c.refit(db.signature_view());
-  EXPECT_EQ(c.refit_stats().full, 3u);
+  EXPECT_EQ(c.refit_stats().full, 2u);
+  store.close();
+  remove_file(ExperienceStore::log_path(prefix));
+  remove_file(ExperienceStore::snapshot_path(prefix));
+}
+
+// A server restarted after a clean shutdown holds only a snapshot. Its
+// first served batch (fit, then ingest the batch's experience) must leave
+// the next batch an incremental refit, not an O(store) copy plus a full
+// rebuild.
+TEST(LeastSquareIncremental, FirstIngestAfterCleanRestartIsIncremental) {
+  ConfigGuard guard;
+  const std::string prefix =
+      ::testing::TempDir() + "/harmony_incfit_restart";
+  Rng rng(10);
+  write_snapshot_store(prefix, rng, 300);
+  HistoryDatabase db;
+  ExperienceStore store;
+  const RecoveryInfo info = store.open(prefix, db);
+  ASSERT_EQ(info.replayed_records, 0u);
+  const DataAnalyzer analyzer;
+  analyzer.ensure_fitted(db);
+  const std::uint64_t full = analyzer.refit_stats().full;
+  EXPECT_EQ(full, 1u);
+  std::vector<ExperienceRecord> batch;
+  for (std::size_t i = 0; i < 4; ++i) {
+    batch.push_back(make_record(rng, 8, db.size() + i));
+  }
+  ingest_experience(db, &store, std::move(batch));
+  analyzer.ensure_fitted(db);
+  EXPECT_EQ(analyzer.refit_stats().full, full);
+  EXPECT_EQ(analyzer.refit_stats().incremental, 1u);
+  EXPECT_EQ(db.signature_view().split, 300u);
   store.close();
   remove_file(ExperienceStore::log_path(prefix));
   remove_file(ExperienceStore::snapshot_path(prefix));

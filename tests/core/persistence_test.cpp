@@ -1,7 +1,9 @@
 // Durable experience store battery: codec round trips, zero-copy snapshot
 // adoption, watermark-correct log replay, torn-tail and CRC-corruption
 // recovery, bit-identical classify between mmap'd and in-memory stores
-// across thread counts and SIMD levels, concurrent lazy record decode, and
+// across thread counts and SIMD levels (also for a store reopened with a
+// log tail, whose signature index is the mapped head plus an owned tail),
+// snapshot rotation from such a store, concurrent lazy record decode, and
 // a seeded crash fuzz that kills the simulated disk at random byte budgets
 // over the append/rotate protocol and requires every recovery to be a
 // consistent prefix of the appended sequence.
@@ -9,7 +11,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -199,9 +203,11 @@ TEST(ExperienceStore, SnapshotAdoptsZeroCopyAndMatchesOriginal) {
   const SignatureView view = db.signature_view();
   EXPECT_EQ(view.count, 40u);
   EXPECT_EQ(view.dims, 6u);
-  EXPECT_NE(view.sketch, nullptr);
+  EXPECT_EQ(view.split, 40u);
+  EXPECT_EQ(view.head_sketch, db.snapshot_backing()->sketch());
+  EXPECT_NE(view.head_sketch, nullptr);
   const auto* mapping_data = db.snapshot_backing()->sig_data();
-  EXPECT_EQ(view.data, mapping_data) << "view must borrow the mapping";
+  EXPECT_EQ(view.head_data, mapping_data) << "view must borrow the mapping";
   for (std::size_t i = 0; i < 40; ++i) {
     expect_records_equal(expected[i], db.record(i),
                          "snapshot record " + std::to_string(i));
@@ -250,7 +256,7 @@ TEST(ExperienceStore, ReplaysOnlyFramesPastTheWatermark) {
   EXPECT_EQ(store.tail_records(), 5u);
 }
 
-TEST(ExperienceStore, AddAfterAdoptCopiesSignaturesOnWrite) {
+TEST(ExperienceStore, AddAfterAdoptAppendsToTheOwnedTail) {
   const std::string prefix = temp_prefix("cow");
   Rng rng(23);
   std::vector<ExperienceRecord> expected;
@@ -277,10 +283,16 @@ TEST(ExperienceStore, AddAfterAdoptCopiesSignaturesOnWrite) {
   ASSERT_EQ(db.size(), 13u);
   const SignatureView view = db.signature_view();
   EXPECT_EQ(view.count, 13u);
-  // The view is now owned (copy-on-write), but records below the watermark
-  // still decode lazily out of the mapping.
-  EXPECT_NE(view.data, nullptr);
-  EXPECT_NE(db.snapshot_backing(), nullptr);
+  // The twelve adopted rows stay in the mapping (head extent); only the new
+  // row is owned (tail extent). Records below the watermark still decode
+  // lazily out of the mapping.
+  ASSERT_NE(db.snapshot_backing(), nullptr);
+  EXPECT_EQ(view.split, 12u);
+  EXPECT_EQ(view.head_data, db.snapshot_backing()->sig_data());
+  EXPECT_EQ(view.tail_offsets[1] - view.tail_offsets[0], 5u);
+  for (std::size_t d = 0; d < 5; ++d) {
+    EXPECT_EQ(view.tail_data[d], extra.signature[d]);
+  }
   for (std::size_t i = 0; i < 13; ++i) {
     expect_records_equal(expected[i], db.record(i),
                          "cow record " + std::to_string(i));
@@ -494,6 +506,177 @@ TEST(ExperienceStore, MmapClassifyBitIdenticalAcrossThreadsAndSimd) {
   }
   set_thread_count(prev_threads);
   set_simd_level(prev_level);
+}
+
+/// Writes a store at `prefix` whose snapshot holds the first `split` of
+/// `total` records and whose log tail holds the rest; returns them all.
+/// Tail record `split + 2` repeats the signature of head record 3, so the
+/// two tie for a query at that signature.
+std::vector<ExperienceRecord> write_tailed_store(const std::string& prefix,
+                                                 std::size_t dims,
+                                                 std::size_t split,
+                                                 std::size_t total) {
+  Rng rng(1000 + split + dims);
+  std::vector<ExperienceRecord> records;
+  ExperienceStore store;
+  HistoryDatabase db;
+  store.open(prefix, db);
+  for (std::size_t i = 0; i < total; ++i) {
+    if (i == split) store.snapshot(db);
+    records.push_back(make_record(rng, dims, i));
+    if (i == split + 2) records.back().signature = records[3].signature;
+    store.append(records.back());
+    db.add(records.back());
+  }
+  store.close();
+  return records;
+}
+
+// A store reopened with a log tail serves the snapshot's rows out of the
+// mapping (head extent, persisted sketch included) and only the replayed
+// rows from owned storage (tail extent). Classify over it must equal
+// classify over a materialized copy of the same records for every
+// classifier, wherever the split falls.
+TEST(ExperienceStore, TailedStoreClassifiesLikeItsMaterializedCopy) {
+  constexpr std::size_t kShard = LeastSquareClassifier::kShardSize;
+  const std::size_t total = 2 * kShard + 333;
+  const unsigned prev_threads = thread_count();
+  const SimdLevel prev_level = simd_level();
+  // dims 3 is too narrow for the sketch, dims 8 carries one.
+  for (const std::size_t dims : {3u, 8u}) {
+    // Inside shard 1 and not a multiple of 4; exactly on a shard boundary;
+    // a head smaller than one SIMD block.
+    for (const std::size_t split :
+         {kShard + 1001, kShard, std::size_t{6}}) {
+      SCOPED_TRACE(testing::Message() << "dims " << dims << ", split "
+                                      << split);
+      const std::string prefix = temp_prefix("tailed");
+      const std::vector<ExperienceRecord> records =
+          write_tailed_store(prefix, dims, split, total);
+      ExperienceStore store;
+      HistoryDatabase db;
+      const RecoveryInfo info = store.open(prefix, db);
+      ASSERT_EQ(info.snapshot_records, split);
+      ASSERT_EQ(info.replayed_records, total - split);
+
+      // No copy of the snapshot: the head extent is the mapping itself and
+      // the owned storage holds exactly the tail's values.
+      const SignatureView view = db.signature_view();
+      const SnapshotMapping* snap = db.snapshot_backing();
+      ASSERT_NE(snap, nullptr);
+      EXPECT_EQ(view.split, split);
+      EXPECT_EQ(view.count, total);
+      EXPECT_EQ(view.head_data, snap->sig_data());
+      EXPECT_EQ(view.head_offsets, snap->sig_offsets());
+      EXPECT_EQ(view.head_sketch, snap->sketch());
+      EXPECT_EQ(view.head_sketch != nullptr, dims == 8u);
+      EXPECT_EQ(view.tail_offsets[0], 0u);
+      EXPECT_EQ(view.tail_offsets[total - split], (total - split) * dims);
+      for (std::size_t i = 0; i < total; ++i) {
+        ASSERT_EQ(view.row(i)[dims - 1], records[i].signature[dims - 1])
+            << "row " << i;
+      }
+
+      HistoryDatabase mat = db;
+      mat.materialize();
+      ASSERT_EQ(mat.signature_view().split, 0u);
+
+      std::vector<WorkloadSignature> queries;
+      Rng qrng(53);
+      for (int q = 0; q < 16; ++q) {
+        WorkloadSignature sig(dims);
+        for (double& v : sig) v = qrng.uniform01();
+        queries.push_back(std::move(sig));
+      }
+      queries.push_back(records[3].signature);  // head/tail tie
+      queries.push_back(records[total - 1].signature);
+      std::vector<const WorkloadSignature*> ptrs;
+      for (const WorkloadSignature& q : queries) ptrs.push_back(&q);
+
+      for (const unsigned threads : {1u, 8u}) {
+        for (const SimdLevel level :
+             {SimdLevel::kScalar, simd_max_supported()}) {
+          set_thread_count(threads);
+          set_simd_level(level);
+          LeastSquareClassifier map_ls, mat_ls;
+          map_ls.fit(db.signature_view());
+          mat_ls.fit(mat.signature_view());
+          EXPECT_EQ(map_ls.sketched(), dims == 8u);
+          EXPECT_EQ(map_ls.head_sketch(), snap->sketch());
+          const std::vector<std::size_t> batch = map_ls.classify_batch(ptrs);
+          for (std::size_t q = 0; q < queries.size(); ++q) {
+            const std::size_t want = mat_ls.classify(queries[q]);
+            EXPECT_EQ(map_ls.classify(queries[q]), want)
+                << "threads " << threads << " level "
+                << simd_level_name(level) << " query " << q;
+            EXPECT_EQ(batch[q], want) << "batched query " << q;
+          }
+          EXPECT_EQ(batch[queries.size() - 2], 3u) << "head row wins the tie";
+        }
+      }
+      set_thread_count(prev_threads);
+      set_simd_level(prev_level);
+
+      KMeansClassifier map_km(16, 5, 10), mat_km(16, 5, 10);
+      map_km.fit(db.signature_view());
+      mat_km.fit(mat.signature_view());
+      DecisionTreeClassifier map_tree(4), mat_tree(4);
+      map_tree.fit(db.signature_view());
+      mat_tree.fit(mat.signature_view());
+      for (const WorkloadSignature& q : queries) {
+        EXPECT_EQ(map_km.classify(q), mat_km.classify(q));
+        EXPECT_EQ(map_tree.classify(q), mat_tree.classify(q));
+      }
+      store.close();
+      remove_file(ExperienceStore::log_path(prefix));
+      remove_file(ExperienceStore::snapshot_path(prefix));
+    }
+  }
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// Rotating a store reopened with a log tail writes the mapped head (rows and
+// sketch planes) out as it is and packs only the tail; the file must be
+// byte for byte the one a fully materialized copy of the same records
+// produces.
+TEST(ExperienceStore, RotationFromATailedStoreMatchesAMaterializedWrite) {
+  for (const std::size_t dims : {3u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "dims " << dims);
+    const std::string a = temp_prefix("rotate_a");
+    const std::string b = temp_prefix("rotate_b");
+    write_tailed_store(a, dims, 501, 700);
+    // Store b starts as a file-level copy of store a, so both rotate at
+    // the same log watermark.
+    for (const std::string& path : {ExperienceStore::log_path(a),
+                                    ExperienceStore::snapshot_path(a)}) {
+      std::filesystem::copy_file(
+          path, b + path.substr(a.size()),
+          std::filesystem::copy_options::overwrite_existing);
+    }
+    ExperienceStore store_a, store_b;
+    HistoryDatabase db_a, db_b;
+    store_a.open(a, db_a);
+    store_b.open(b, db_b);
+    ASSERT_EQ(db_a.signature_view().split, 501u);
+    HistoryDatabase mat = db_a;
+    mat.materialize();
+    store_a.snapshot(db_a);
+    store_b.snapshot(mat);
+    const std::string snap_a = file_bytes(ExperienceStore::snapshot_path(a));
+    const std::string snap_b = file_bytes(ExperienceStore::snapshot_path(b));
+    EXPECT_EQ(snap_a.size(), snap_b.size());
+    EXPECT_TRUE(snap_a == snap_b) << "rotated snapshots differ";
+    store_a.close();
+    store_b.close();
+    for (const std::string& prefix : {a, b}) {
+      remove_file(ExperienceStore::log_path(prefix));
+      remove_file(ExperienceStore::snapshot_path(prefix));
+    }
+  }
 }
 
 // Lazy record decode is hit from concurrent serve_batch retrievals: hammer
