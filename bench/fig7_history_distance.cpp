@@ -80,9 +80,7 @@ int main() {
       // converges (the tuner keeps exploring as long as the seeded region
       // is not yet optimal for the new workload).
       TuningSession session(space, noisy_live, opts);
-      ExperienceRecord rec;
-      rec.measurements = history.trace;
-      session.seed(rec.best(space.size() + 1), /*use_recorded_values=*/false);
+      session.seed(history.trace, /*use_recorded_values=*/false);
       const TuningResult r = session.run();
       const TraceMetrics m = analyze_trace(r.trace);
       // Iterations until the run first reaches 97 % of the reference level

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <fstream>
-#include <numeric>
 #include <sstream>
 
 #include "core/store.hpp"
@@ -36,34 +35,6 @@ bool signature_is_finite(const WorkloadSignature& s) {
 std::uint64_t next_signature_version() noexcept {
   static std::atomic<std::uint64_t> counter{0};
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-std::vector<Measurement> ExperienceRecord::best(std::size_t n) const {
-  std::vector<Measurement> out;
-  if (n == 0 || measurements.empty()) return out;
-  // Index heap ordered exactly like the old stable sort: higher performance
-  // first, earlier measurement first on ties. Popping until n distinct
-  // configurations are collected touches only the selected prefix instead
-  // of copying and sorting the whole vector.
-  std::vector<std::size_t> heap(measurements.size());
-  std::iota(heap.begin(), heap.end(), std::size_t{0});
-  const auto before = [&](std::size_t a, std::size_t b) {
-    const double pa = measurements[a].performance;
-    const double pb = measurements[b].performance;
-    return pa < pb || (pa == pb && a > b);
-  };
-  std::make_heap(heap.begin(), heap.end(), before);
-  out.reserve(std::min(n, measurements.size()));
-  while (!heap.empty() && out.size() < n) {
-    std::pop_heap(heap.begin(), heap.end(), before);
-    const Measurement& m = measurements[heap.back()];
-    heap.pop_back();
-    const bool dup = std::any_of(out.begin(), out.end(), [&](const auto& o) {
-      return o.config == m.config;
-    });
-    if (!dup) out.push_back(m);
-  }
-  return out;
 }
 
 HistoryDatabase::HistoryDatabase(const HistoryDatabase& other) {

@@ -115,11 +115,6 @@ struct ExperienceRecord {
   std::string label;  ///< human-readable tag ("shopping", "ordering", ...)
   WorkloadSignature signature;
   std::vector<Measurement> measurements;
-
-  /// The best `n` distinct measurements, best first (ties resolved toward
-  /// the earlier measurement). Partial selection: cost O(N + n log N), no
-  /// full copy/sort of the measurement vector.
-  [[nodiscard]] std::vector<Measurement> best(std::size_t n) const;
 };
 
 class HistoryDatabase {
@@ -176,12 +171,6 @@ class HistoryDatabase {
   }
   [[nodiscard]] bool empty() const noexcept { return size() == 0; }
   [[nodiscard]] const ExperienceRecord& record(std::size_t i) const;
-  /// Compatibility accessor for the whole record vector; materializes a
-  /// snapshot-backed database first (hence non-const).
-  [[nodiscard]] const std::vector<ExperienceRecord>& records() {
-    if (snap_count_ > 0) materialize();
-    return records_;
-  }
 
   /// All stored signatures, in record order. Compatibility accessor: this
   /// copies every signature; the classify hot path uses signature_view().

@@ -29,6 +29,16 @@ void ParallelEvaluator::evaluate_into(std::span<const Configuration> configs,
                            stats_);
 }
 
+double ParallelEvaluator::evaluate_one(const Configuration& config,
+                                       bool& censored) {
+  censored = false;
+  if (!policy_.enabled()) return objective_.measure(config);
+  const MeasurementOutcome o =
+      measure_with_retry(objective_, config, policy_, stats_);
+  censored = !o.ok();
+  return censored ? policy_.censored_value : o.value;
+}
+
 std::vector<std::vector<double>> ParallelEvaluator::evaluate_repeated(
     std::span<const Configuration> configs, int repeats) {
   HARMONY_REQUIRE(repeats >= 1, "repeats must be >= 1");

@@ -49,6 +49,12 @@ class ParallelEvaluator {
                      std::span<double> out,
                      std::vector<std::uint8_t>* censored);
 
+  /// The width-1 case without a batch: measure() under a disabled policy,
+  /// measure_with_retry (try_measure) otherwise. Returns the value, or the
+  /// policy's censored penalty with `censored` set once retries ran out.
+  [[nodiscard]] double evaluate_one(const Configuration& config,
+                                    bool& censored);
+
   /// Evaluates each config `repeats` times — flattened config-major,
   /// repeat-minor, exactly the order a serial repeat loop issues — and
   /// returns the raw samples: result[i] holds config i's repeats in draw

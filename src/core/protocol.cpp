@@ -1,8 +1,5 @@
 #include "core/protocol.hpp"
 
-#include <cmath>
-#include <limits>
-
 #include "core/rsl.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -155,10 +152,16 @@ Message ServerSession::handle_hello(const Message& m) {
   return ok();
 }
 
-SearchSpec ServerSession::session_search_spec() const {
+void ServerSession::start_kernel(std::span<const Measurement> prior) {
   SearchSpec spec = opts_.tuning.search;
   if (!requested_strategy_.empty()) spec.kernel = requested_strategy_;
-  return spec;
+  WarmStartPlan plan =
+      plan_warm_start(space_, *opts_.tuning.strategy, space_.defaults(),
+                      prior, opts_.use_recorded_values);
+  kernel_ = make_search_kernel(spec, space_, opts_.tuning.simplex,
+                               std::move(plan.vertices),
+                               std::move(plan.values), plan.history);
+  kernel_name_ = kernel_->name();
 }
 
 Message ServerSession::handle_bundles(const Message& m) {
@@ -166,10 +169,7 @@ Message ServerSession::handle_bundles(const Message& m) {
   ParameterSpace space = parse_rsl(m.args[0]);
   if (space.empty()) return error("no bundles declared");
   space_ = std::move(space);
-  kernel_ = make_search_kernel(
-      session_search_spec(), space_, opts_.tuning.simplex,
-      opts_.tuning.strategy->vertices(space_, space_.defaults()));
-  kernel_name_ = kernel_->name();
+  start_kernel({});
   state_ = State::kTuning;
   Message reply = ok();
   reply.args.push_back(std::to_string(space_.size()));
@@ -206,32 +206,8 @@ Message ServerSession::handle_signature(const Message& m) {
     const DataAnalyzer& analyzer =
         opts_.shared_analyzer != nullptr ? *opts_.shared_analyzer : analyzer_;
     if (const ExperienceRecord* exp = analyzer.retrieve(*db_, signature_)) {
-      // Warm start: rebuild the kernel seeded from the experience.
-      const auto best = exp->best(space_.size() + 1);
-      std::vector<Configuration> seeds;
-      seeds.reserve(best.size());
-      for (const auto& b : best) seeds.push_back(b.config);
-      SeededStrategy seeded(seeds);
-      auto vertices = seeded.vertices(space_, space_.defaults());
-      std::vector<double> values(
-          vertices.size(), std::numeric_limits<double>::quiet_NaN());
-      if (opts_.use_recorded_values) {
-        for (std::size_t i = 0; i < best.size() && i < vertices.size(); ++i) {
-          if (vertices[i] == space_.snap(best[i].config)) {
-            values[i] = best[i].performance;
-          }
-        }
-      }
-      // Non-censored history feeds kernels that can model-seed from it.
-      std::vector<std::pair<Configuration, double>> history;
-      history.reserve(exp->measurements.size());
-      for (const Measurement& pm : exp->measurements) {
-        if (!pm.censored) history.emplace_back(pm.config, pm.performance);
-      }
-      kernel_ = make_search_kernel(session_search_spec(), space_,
-                                   opts_.tuning.simplex, std::move(vertices),
-                                   std::move(values), history);
-      kernel_name_ = kernel_->name();
+      // Warm start: rebuild the kernel from the experience's measurements.
+      start_kernel(exp->measurements);
       reply.args.push_back("experience");
       reply.args.push_back(exp->label);
     }
@@ -290,7 +266,7 @@ Message ServerSession::handle_fetch() {
   const FetchStep step = step_fetch();
   if (step.kind == FetchStep::Kind::kError) return error(step.error);
   if (step.kind == FetchStep::Kind::kDone) {
-    const SimplexResult& r = *step.result;
+    const SearchResult& r = *step.result;
     Message reply{"DONE", {}};
     reply.args.push_back(std::to_string(r.best.size()));
     for (double v : r.best) reply.args.push_back(format_double(v));

@@ -45,6 +45,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -150,7 +151,7 @@ class ServerSession {
     enum class Kind { kConfig, kDone, kError };
     Kind kind = Kind::kError;
     const Configuration* config = nullptr;  ///< kConfig: measure this
-    const SimplexResult* result = nullptr;  ///< kDone: final result
+    const SearchResult* result = nullptr;   ///< kDone: final result
     const char* error = nullptr;            ///< kError: static message
     /// kDone: cumulative full/incremental refit counts of the analyzer the
     /// session retrieves through (serving observability, echoed on DONE).
@@ -192,10 +193,10 @@ class ServerSession {
   Message handle_bye();
   void store_experience();
 
-  /// Kernel spec the session's searches run with: the server default from
-  /// SessionOptions::tuning.search, with the kernel name overridden when the
-  /// client's HELLO asked for one.
-  [[nodiscard]] SearchSpec session_search_spec() const;
+  /// (Re)builds the kernel from plan_warm_start over `prior` (empty: the
+  /// cold start). It runs the server's default kernel
+  /// (SessionOptions::tuning.search) unless the client's HELLO named one.
+  void start_kernel(std::span<const Measurement> prior);
 
   SessionOptions opts_;
   HistoryDatabase* db_;

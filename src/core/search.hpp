@@ -1,12 +1,12 @@
 // SearchStrategy — the pluggable step-kernel contract every tuning driver
 // speaks.
 //
-// PRs 4–9 grew four independent drivers around one kernel: the serial loop,
-// the speculative frontier driver, the fault-tolerant retry path, and the
-// serving front end's per-session state machine. They all consume the same
-// inverted-control surface — pull a configuration, measure it, push the
-// value back — so that surface is now a contract and the Nelder–Mead
-// simplex is merely its first implementation.
+// Two drivers speak it: the tuning session's one measurement loop (serial,
+// speculative and fault-tolerant runs alike) and the serving front end's
+// per-session state machine. Both consume the same inverted-control
+// surface — pull a configuration, measure it, push the value back — so that
+// surface is a contract and the Nelder–Mead simplex is merely its first
+// implementation.
 //
 // The contract (pinned by tests/core/search_strategy_test.cpp against every
 // registered strategy):
@@ -43,9 +43,19 @@
 
 namespace harmony {
 
-/// Final state of one search run, shared by every strategy. (Declared here
-/// so the contract owns it; simplex.hpp aliases its historical name
-/// SimplexResult to this struct.)
+/// One recorded exploration.
+struct Measurement {
+  Configuration config;
+  double performance = 0.0;
+  /// True when the value came from history/estimation rather than a live
+  /// measurement (training-stage entries).
+  bool estimated = false;
+  /// True when the measurement exhausted its retries and `performance` is
+  /// the policy's censored worst-case penalty, not an observed value.
+  bool censored = false;
+};
+
+/// Final state of one search run, shared by every strategy.
 struct SearchResult {
   Configuration best;       ///< best configuration measured
   double best_value = 0.0;  ///< its performance

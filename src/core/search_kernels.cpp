@@ -286,8 +286,7 @@ void IteratedLocalSearch::perturb() {
 EvolutionarySearch::EvolutionarySearch(
     const ParameterSpace& space, SimplexOptions common,
     EvolutionOptions options, std::vector<Configuration> initial_vertices,
-    std::vector<double> seeded_values,
-    const std::vector<std::pair<Configuration, double>>& history)
+    std::vector<double> seeded_values, std::span<const Measurement> history)
     : QueueSearch(space, common, options.seed), opts_(options) {
   HARMONY_REQUIRE(opts_.population >= 2, "population must be >= 2");
   HARMONY_REQUIRE(opts_.elites >= 0 && opts_.elites < opts_.population,
@@ -306,13 +305,16 @@ EvolutionarySearch::EvolutionarySearch(
   }
 
   const std::size_t target = static_cast<std::size_t>(opts_.population);
+  const auto observed = [](const Measurement& m) { return !m.censored; };
   if (population_.size() < target && opts_.model_seeding &&
-      history.size() >= 2) {
+      std::count_if(history.begin(), history.end(), observed) >= 2) {
     // Cheap-model seeding (§4 applied to a population): rank a pool of
     // random candidates by the plane-fit estimate over prior-run history and
     // admit the most promising ones.
     PerformanceEstimator model(space_);
-    for (const auto& [config, value] : history) model.add(config, value);
+    for (const Measurement& m : history) {
+      if (observed(m)) model.add(m.config, m.performance);
+    }
     std::vector<std::pair<double, Configuration>> pool;
     for (int i = 0; i < opts_.seeding_pool; ++i) {
       Configuration c = space_.random_configuration(rng_);
@@ -443,8 +445,7 @@ bool is_search_kernel(const std::string& name) {
 std::unique_ptr<SearchStrategy> make_search_kernel(
     const SearchSpec& spec, const ParameterSpace& space,
     const SimplexOptions& common, std::vector<Configuration> initial_vertices,
-    std::vector<double> seeded_values,
-    const std::vector<std::pair<Configuration, double>>& history) {
+    std::vector<double> seeded_values, std::span<const Measurement> history) {
   if (spec.kernel == "simplex") {
     return std::make_unique<StepwiseSimplex>(space, common,
                                              std::move(initial_vertices),

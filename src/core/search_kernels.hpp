@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -79,13 +80,14 @@ struct SearchSpec {
 /// strategy (the simplex verbatim; the others as their first round /
 /// generation); `seeded_values` optionally pre-supply performance for the
 /// matching vertex (NaN = measure live), and `history` carries prior-run
-/// (configuration, performance) pairs for model seeding. Throws
-/// harmony::Error on an unknown kernel name.
+/// measurements for model seeding (censored ones are skipped: they are
+/// penalties, not observations). Throws harmony::Error on an unknown kernel
+/// name.
 [[nodiscard]] std::unique_ptr<SearchStrategy> make_search_kernel(
     const SearchSpec& spec, const ParameterSpace& space,
     const SimplexOptions& common, std::vector<Configuration> initial_vertices,
     std::vector<double> seeded_values = {},
-    const std::vector<std::pair<Configuration, double>>& history = {});
+    std::span<const Measurement> history = {});
 
 /// Shared skeleton for round-planning strategies: a queue of planned
 /// candidates is consumed one peek()/report() step at a time; configurations
@@ -189,7 +191,7 @@ class EvolutionarySearch final : public QueueSearch {
       const ParameterSpace& space, SimplexOptions common,
       EvolutionOptions options, std::vector<Configuration> initial_vertices,
       std::vector<double> seeded_values = {},
-      const std::vector<std::pair<Configuration, double>>& history = {});
+      std::span<const Measurement> history = {});
 
   [[nodiscard]] std::string name() const override { return "evolutionary"; }
 

@@ -85,7 +85,7 @@ std::vector<ServedTuningResult> HarmonyServer::serve_batch(
     try {
       TuningSession session(space_, *rq.objective, opts_.tuning);
       if (const ExperienceRecord* exp = found[i].record) {
-        session.seed(exp->best(space_.size() + 1), opts_.use_recorded_values);
+        session.seed(exp->measurements, opts_.use_recorded_values);
         res.experience_label = exp->label;
         res.experience_distance =
             signature_distance(rq.signature, exp->signature);

@@ -47,7 +47,7 @@ StepwiseSimplex::StepwiseSimplex(const ParameterSpace& space,
                   "initial simplex degenerate (need >= 2 distinct vertices)");
 }
 
-const SimplexResult& StepwiseSimplex::result() const {
+const SearchResult& StepwiseSimplex::result() const {
   HARMONY_REQUIRE(state_ == State::kDone, "simplex search still running");
   return result_;
 }
@@ -511,7 +511,7 @@ SimplexSearch::SimplexSearch(const ParameterSpace& space,
   validate_options(opts_);
 }
 
-SimplexResult SimplexSearch::maximize(
+SearchResult SimplexSearch::maximize(
     const Evaluator& evaluate, std::vector<Configuration> initial_vertices,
     const std::vector<double>& seeded_values) {
   StepwiseSimplex machine(space_, opts_, std::move(initial_vertices),

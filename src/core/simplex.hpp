@@ -66,10 +66,6 @@ struct SimplexOptions {
   double censored_threshold = -std::numeric_limits<double>::infinity();
 };
 
-/// Result of one simplex run — the historical name for the strategy-generic
-/// SearchResult (core/search.hpp), kept for the many existing callers.
-using SimplexResult = SearchResult;
-
 /// Inverted-control Nelder–Mead: call peek() for the configuration to
 /// measure, run the system with it, then submit() the observed performance.
 /// peek() returns nullptr once the search has finished (converged, stalled
@@ -115,7 +111,7 @@ class StepwiseSimplex : public SearchStrategy {
   [[nodiscard]] bool finished() const noexcept override {
     return state_ == State::kDone;
   }
-  [[nodiscard]] const SimplexResult& result() const override;
+  [[nodiscard]] const SearchResult& result() const override;
   [[nodiscard]] int evaluations() const noexcept override { return evals_; }
   [[nodiscard]] std::string name() const override { return "simplex"; }
 
@@ -184,7 +180,7 @@ class StepwiseSimplex : public SearchStrategy {
   int evals_ = 0;
   int stall_ = 0;
   int plateau_shrinks_ = 0;
-  SimplexResult result_;
+  SearchResult result_;
 };
 
 /// Blocking convenience wrapper.
@@ -196,7 +192,7 @@ class SimplexSearch {
   SimplexSearch(const ParameterSpace& space, SimplexOptions options);
 
   /// Runs StepwiseSimplex to completion with the given evaluator.
-  [[nodiscard]] SimplexResult maximize(
+  [[nodiscard]] SearchResult maximize(
       const Evaluator& evaluate, std::vector<Configuration> initial_vertices,
       const std::vector<double>& seeded_values = {});
 

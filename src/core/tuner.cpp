@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <unordered_map>
 
 #include "core/estimator.hpp"
@@ -26,7 +27,140 @@ SimplexOptions effective_simplex_options(const TuningOptions& opts) {
   return so;
 }
 
+/// Where the driver's values come from. At width 1 (speculation off) the
+/// pending configuration is measured alone and its value handed straight
+/// back: no cache, no hashing. Wider, a miss measures the kernel's whole
+/// frontier in one batch and parks every value in a configuration-keyed
+/// cache that later steps are served from. An entry is "consumed" once the
+/// trajectory takes its value — entries that never are were wasted
+/// speculation.
+class Frontier {
+ public:
+  Frontier(ParallelEvaluator& evaluator, bool speculative, std::size_t budget,
+           SpeculationStats& stats)
+      : evaluator_(evaluator),
+        speculative_(speculative),
+        budget_(budget),
+        stats_(stats) {
+    if (speculative_) cache_.reserve(4 * budget_);
+  }
+
+  /// The value of the kernel's pending configuration; `censored` is set
+  /// when it is the retry policy's penalty rather than an observation.
+  double take(SearchStrategy& kernel, const Configuration& pending,
+              bool& censored) {
+    if (!speculative_) return evaluator_.evaluate_one(pending, censored);
+    auto it = cache_.find(pending);
+    if (it == cache_.end()) {
+      measure(kernel);
+      it = cache_.find(pending);
+    } else {
+      ++stats_.cache_hits;
+    }
+    it->second.consumed = true;
+    ++stats_.consumed;
+    censored = it->second.censored;
+    return it->second.value;
+  }
+
+  /// Counts the measured values the trajectory never consumed.
+  void close() {
+    for (const auto& [config, entry] : cache_) {
+      if (!entry.consumed) ++stats_.wasted;
+    }
+  }
+
+ private:
+  struct CacheEntry {
+    double value = 0.0;
+    bool consumed = false;
+    bool censored = false;
+  };
+
+  /// Miss: measures the frontier's uncached configurations in one batch.
+  /// The pending configuration comes first, so it is always covered even
+  /// after the waste bound truncates the tail.
+  void measure(SearchStrategy& kernel) {
+    std::vector<Configuration> frontier = kernel.frontier();
+    to_measure_.clear();
+    to_measure_.reserve(frontier.size());
+    for (Configuration& f : frontier) {
+      if (cache_.find(f) == cache_.end()) to_measure_.push_back(std::move(f));
+    }
+    // The kernel asks for at most budget - evaluations more values;
+    // measuring beyond that bound could only ever be waste.
+    const auto evals = static_cast<std::size_t>(kernel.evaluations());
+    const std::size_t remaining = budget_ > evals ? budget_ - evals : 1;
+    if (to_measure_.size() > remaining) to_measure_.resize(remaining);
+    values_.resize(to_measure_.size());
+    std::vector<std::uint8_t>* const censored =
+        evaluator_.policy().enabled() ? &censored_ : nullptr;
+    evaluator_.evaluate_into(to_measure_, values_, censored);
+    ++stats_.batches;
+    stats_.measured += to_measure_.size();
+    for (std::size_t i = 0; i < to_measure_.size(); ++i) {
+      cache_.emplace(std::move(to_measure_[i]),
+                     CacheEntry{values_[i], false,
+                                censored != nullptr && censored_[i] != 0});
+    }
+  }
+
+  ParallelEvaluator& evaluator_;
+  const bool speculative_;
+  const std::size_t budget_;
+  SpeculationStats& stats_;
+  std::unordered_map<Configuration, CacheEntry, ConfigurationHash> cache_;
+  std::vector<Configuration> to_measure_;
+  std::vector<double> values_;
+  std::vector<std::uint8_t> censored_;
+};
+
 }  // namespace
+
+WarmStartPlan plan_warm_start(const ParameterSpace& space,
+                              const InitialSimplexStrategy& cold,
+                              const Configuration& start,
+                              std::span<const Measurement> prior,
+                              bool use_recorded_values) {
+  WarmStartPlan plan;
+  if (prior.empty()) {
+    plan.vertices = cold.vertices(space, start);
+    return plan;
+  }
+  plan.history = prior;
+  std::vector<std::size_t> order(prior.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return prior[a].performance > prior[b].performance;
+                   });
+  // Distinctness is judged after snapping: the kernel only ever sees grid
+  // points, and two recorded points on one grid point must not take two
+  // seed slots (nor shift the next seed's value onto the wrong vertex).
+  std::vector<Configuration> seeds;
+  std::vector<double> recorded;
+  const std::size_t want = space.size() + 1;
+  for (const std::size_t i : order) {
+    Configuration c = space.snap(prior[i].config);
+    if (std::find(seeds.begin(), seeds.end(), c) != seeds.end()) continue;
+    seeds.push_back(std::move(c));
+    recorded.push_back(prior[i].performance);
+    if (seeds.size() == want) break;
+  }
+  plan.vertices = SeededStrategy(seeds).vertices(space, start);
+  plan.values.assign(plan.vertices.size(),
+                     std::numeric_limits<double>::quiet_NaN());
+  if (use_recorded_values) {
+    // SeededStrategy keeps the seeds in front; a seed its re-snap moved
+    // (dynamic bounds) is measured live rather than credited a value that
+    // belongs to another point.
+    for (std::size_t i = 0; i < seeds.size() && i < plan.vertices.size();
+         ++i) {
+      if (plan.vertices[i] == seeds[i]) plan.values[i] = recorded[i];
+    }
+  }
+  return plan;
+}
 
 TuningSession::TuningSession(const ParameterSpace& space, Objective& objective,
                              TuningOptions options)
@@ -43,209 +177,45 @@ void TuningSession::set_start(Configuration start) {
 void TuningSession::seed(const std::vector<Measurement>& history,
                          bool use_recorded_values, bool estimate_missing) {
   seed_history_ = history;
+  use_recorded_values_ = use_recorded_values;
   estimate_missing_ = estimate_missing && history.size() >= 2;
-  // Keep the best-performing distinct configurations, best first.
-  std::vector<Measurement> sorted = history;
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const Measurement& a, const Measurement& b) {
-                     return a.performance > b.performance;
-                   });
-  seed_configs_.clear();
-  seed_values_.clear();
-  const std::size_t want = space_.size() + 1;
-  for (const Measurement& m : sorted) {
-    Configuration c = space_.snap(m.config);
-    if (std::find(seed_configs_.begin(), seed_configs_.end(), c) !=
-        seed_configs_.end()) {
-      continue;
-    }
-    seed_configs_.push_back(std::move(c));
-    seed_values_.push_back(use_recorded_values
-                               ? m.performance
-                               : std::numeric_limits<double>::quiet_NaN());
-    if (seed_configs_.size() == want) break;
-  }
 }
 
 TuningResult TuningSession::run() {
-  RecordingObjective recorder(objective_);
-  // The kernel issues at most max_evaluations live measurements; size the
-  // recording (and later the result trace) once from that budget.
-  recorder.reserve(static_cast<std::size_t>(opts_.simplex.max_evaluations));
-
-  std::vector<Configuration> vertices;
-  std::vector<double> seeded_values;
-  if (!seed_configs_.empty()) {
-    SeededStrategy seeded(seed_configs_);
-    vertices = seeded.vertices(space_, start_);
-    // SeededStrategy may append filler vertices; those are measured live.
-    seeded_values.assign(vertices.size(),
-                         std::numeric_limits<double>::quiet_NaN());
-    for (std::size_t i = 0;
-         i < seed_configs_.size() && i < seeded_values.size(); ++i) {
-      if (vertices[i] == seed_configs_[i]) {
-        seeded_values[i] = seed_values_[i];
+  WarmStartPlan plan = plan_warm_start(space_, *opts_.strategy, start_,
+                                       seed_history_, use_recorded_values_);
+  if (estimate_missing_) {
+    // Fill the vertices without a value by triangulation over the history
+    // (§4.3) instead of spending live measurements on them.
+    PerformanceEstimator estimator(space_);
+    estimator.add_all(seed_history_);
+    for (std::size_t i = 0; i < plan.values.size(); ++i) {
+      if (std::isnan(plan.values[i])) {
+        plan.values[i] = estimator.estimate(plan.vertices[i]).value;
       }
     }
-    if (estimate_missing_) {
-      // Fill filler-vertex values by triangulation over the history (§4.3)
-      // instead of spending live measurements on them.
-      PerformanceEstimator estimator(space_);
-      estimator.add_all(seed_history_);
-      for (std::size_t i = 0; i < seeded_values.size(); ++i) {
-        if (std::isnan(seeded_values[i])) {
-          seeded_values[i] = estimator.estimate(vertices[i]).value;
-        }
-      }
-    }
-  } else {
-    vertices = opts_.strategy->vertices(space_, start_);
   }
+  const std::unique_ptr<SearchStrategy> kernel = make_search_kernel(
+      opts_.search, space_, effective_simplex_options(opts_),
+      std::move(plan.vertices), std::move(plan.values), plan.history);
 
-  if (opts_.speculative) {
-    return run_speculative(std::move(vertices), std::move(seeded_values));
-  }
-  if (opts_.retry.enabled()) {
-    return run_fault_tolerant(std::move(vertices), std::move(seeded_values));
-  }
-
-  // The serial loop: pull a configuration, measure, push the value back.
-  // For the simplex kernel this is exactly SimplexSearch::maximize and the
-  // trajectory is bit-identical to the pre-interface session.
-  std::unique_ptr<SearchStrategy> kernel =
-      make_kernel(std::move(vertices), std::move(seeded_values));
-  while (const Configuration* c = kernel->peek()) {
-    kernel->report(recorder.measure(*c));
-  }
-  const SearchResult& sr = kernel->result();
-
-  TuningResult out;
-  out.trace.reserve(recorder.trace().size());
-  for (const auto& s : recorder.trace()) {
-    out.trace.push_back({s.config, s.value, /*estimated=*/false});
-  }
-  out.best_config = sr.best;
-  out.best_performance = sr.best_value;
-  out.evaluations = sr.evaluations;
-  out.converged = sr.converged;
-  out.stop_reason = sr.stop_reason;
-  return out;
-}
-
-std::unique_ptr<SearchStrategy> TuningSession::make_kernel(
-    std::vector<Configuration> vertices, std::vector<double> seeded_values) {
-  // Prior-run history for kernels that model-seed their starting points;
-  // censored entries are penalties, not observations, so they stay out.
-  std::vector<std::pair<Configuration, double>> history;
-  history.reserve(seed_history_.size());
-  for (const Measurement& m : seed_history_) {
-    if (!m.censored) history.emplace_back(m.config, m.performance);
-  }
-  return make_search_kernel(opts_.search, space_,
-                            effective_simplex_options(opts_),
-                            std::move(vertices), std::move(seeded_values),
-                            history);
-}
-
-TuningResult TuningSession::run_fault_tolerant(
-    std::vector<Configuration> vertices, std::vector<double> seeded_values) {
-  // The serial kernel loop, driven through the fallible path: each step
-  // retries per the policy, and an exhausted step enters the kernel as the
-  // censored penalty instead of aborting the run.
-  std::unique_ptr<SearchStrategy> machine =
-      make_kernel(std::move(vertices), std::move(seeded_values));
-  TuningResult out;
-  out.trace.reserve(static_cast<std::size_t>(opts_.simplex.max_evaluations));
-  while (const Configuration* c = machine->peek()) {
-    const MeasurementOutcome o =
-        measure_with_retry(objective_, *c, opts_.retry, out.retry);
-    const bool censored = !o.ok();
-    const double v = censored ? opts_.retry.censored_value : o.value;
-    out.trace.push_back({*c, v, /*estimated=*/false, censored});
-    machine->report(v);
-  }
-  const SearchResult& sr = machine->result();
-  out.best_config = sr.best;
-  out.best_performance = sr.best_value;
-  out.evaluations = sr.evaluations;
-  out.converged = sr.converged;
-  out.stop_reason = sr.stop_reason;
-  return out;
-}
-
-TuningResult TuningSession::run_speculative(
-    std::vector<Configuration> vertices, std::vector<double> seeded_values) {
-  std::unique_ptr<SearchStrategy> machine =
-      make_kernel(std::move(vertices), std::move(seeded_values));
-  ParallelEvaluator evaluator(objective_, opts_.retry);
-
-  // Speculation cache: every live measurement lands here keyed by its
-  // snapped configuration; the kernel's requests are served from it. An
-  // entry is "consumed" once the trajectory submits its value — entries
-  // that never are were wasted speculation.
-  struct CacheEntry {
-    double value = 0.0;
-    bool consumed = false;
-    bool censored = false;
-  };
-  std::unordered_map<Configuration, CacheEntry, ConfigurationHash> cache;
+  // The one measurement loop: pull a configuration, take its value from
+  // the frontier, push it back. Every consumed value is one trace entry.
   const auto budget = static_cast<std::size_t>(opts_.simplex.max_evaluations);
-  cache.reserve(4 * budget);
-
   TuningResult out;
   out.trace.reserve(budget);
-  SpeculationStats& stats = out.speculation;
-
-  std::vector<Configuration> to_measure;
-  std::vector<double> values;
-  std::vector<std::uint8_t> censored_flags;
-  std::vector<std::uint8_t>* const censored =
-      opts_.retry.enabled() ? &censored_flags : nullptr;
-  while (const Configuration* c = machine->peek()) {
-    auto it = cache.find(*c);
-    if (it == cache.end()) {
-      // Miss: measure the whole frontier in one batch. The pending
-      // configuration comes first, so it is always covered even after the
-      // waste bound truncates the tail.
-      std::vector<Configuration> frontier = machine->frontier();
-      to_measure.clear();
-      to_measure.reserve(frontier.size());
-      for (Configuration& f : frontier) {
-        if (cache.find(f) == cache.end()) to_measure.push_back(std::move(f));
-      }
-      // The kernel asks for at most budget - evals_ more values; measuring
-      // beyond that bound could only ever be waste.
-      const std::size_t remaining = budget > static_cast<std::size_t>(
-                                                 machine->evaluations())
-                                        ? budget - machine->evaluations()
-                                        : 1;
-      if (to_measure.size() > remaining) to_measure.resize(remaining);
-      values.resize(to_measure.size());
-      evaluator.evaluate_into(to_measure, values, censored);
-      ++stats.batches;
-      stats.measured += to_measure.size();
-      for (std::size_t i = 0; i < to_measure.size(); ++i) {
-        cache.emplace(
-            std::move(to_measure[i]),
-            CacheEntry{values[i], false,
-                       censored != nullptr && censored_flags[i] != 0});
-      }
-      it = cache.find(*c);
-    } else {
-      ++stats.cache_hits;
-    }
-    it->second.consumed = true;
-    const double v = it->second.value;
-    out.trace.push_back({*c, v, /*estimated=*/false, it->second.censored});
-    ++stats.consumed;
-    machine->report(v);
+  ParallelEvaluator evaluator(objective_, opts_.retry);
+  Frontier frontier(evaluator, opts_.speculative, budget, out.speculation);
+  bool censored = false;
+  while (const Configuration* c = kernel->peek()) {
+    const double v = frontier.take(*kernel, *c, censored);
+    out.trace.push_back({*c, v, /*estimated=*/false, censored});
+    kernel->report(v);
   }
-  for (const auto& [config, entry] : cache) {
-    if (!entry.consumed) ++stats.wasted;
-  }
+  frontier.close();
   out.retry = evaluator.retry_stats();
 
-  const SearchResult& sr = machine->result();
+  const SearchResult& sr = kernel->result();
   out.best_config = sr.best;
   out.best_performance = sr.best_value;
   out.evaluations = sr.evaluations;

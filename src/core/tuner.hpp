@@ -9,10 +9,15 @@
 //   * warm start from historical measurements, optionally substituting
 //     triangulation estimates for the training measurements (§4.2/§4.3),
 //   * tuning a top-n sub-space chosen by the prioritizing tool (§3).
+//
+// plan_warm_start() is the one place a session's starting point is chosen;
+// the in-process session, HarmonyServer and the wire protocol's
+// ServerSession all build their kernel from it.
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,18 +28,6 @@
 #include "core/strategies.hpp"
 
 namespace harmony {
-
-/// One recorded exploration.
-struct Measurement {
-  Configuration config;
-  double performance = 0.0;
-  /// True when the value came from history/estimation rather than a live
-  /// measurement (training-stage entries).
-  bool estimated = false;
-  /// True when the measurement exhausted its retries and `performance` is
-  /// the policy's censored worst-case penalty, not an observed value.
-  bool censored = false;
-};
 
 struct TuningOptions {
   SimplexOptions simplex;
@@ -102,18 +95,45 @@ struct TuningResult {
   RetryStats retry;  ///< fault-path accounting (zeroes when retry disabled)
 };
 
+/// What a session's kernel starts from (§4.2).
+struct WarmStartPlan {
+  std::vector<Configuration> vertices;  ///< initial vertices, seeds first
+  /// Per-vertex value the kernel takes instead of measuring (NaN = measure
+  /// live); empty for a cold start.
+  std::vector<double> values;
+  /// The prior measurements the plan was made from, borrowed: what a
+  /// model-seeding kernel learns from (it skips the censored ones).
+  std::span<const Measurement> history;
+};
+
+/// Plans a session's start from prior measurements the caller already
+/// holds — an experience record's, or a user's own. With none, the cold
+/// start: `cold`'s vertices around `start`. Otherwise:
+///   * seeds: the n+1 best distinct configurations after snapping, best
+///     first, earlier first on ties (two recorded points on one grid point
+///     are one seed, the better one); SeededStrategy fills a short list;
+///   * values: with `use_recorded_values`, each seed vertex carries its
+///     recorded performance; every other vertex is measured live;
+///   * history: every measurement passed in.
+[[nodiscard]] WarmStartPlan plan_warm_start(const ParameterSpace& space,
+                                            const InitialSimplexStrategy& cold,
+                                            const Configuration& start,
+                                            std::span<const Measurement> prior,
+                                            bool use_recorded_values);
+
 class TuningSession {
  public:
   /// The objective must outlive the session.
   TuningSession(const ParameterSpace& space, Objective& objective,
                 TuningOptions options = {});
 
-  /// Warm start (training stage): the initial simplex is seeded from these
-  /// configurations — typically the best ones recorded for the workload the
-  /// data analyzer classified. When `use_recorded_values` is true, their
-  /// recorded performances are fed to the kernel instead of re-measuring
-  /// (the paper's "save time by not retrying those configurations again");
-  /// otherwise the seeds are re-measured live.
+  /// Warm start (training stage): the initial simplex is seeded from the
+  /// best configurations of this history (plan_warm_start) — typically the
+  /// measurements recorded for the workload the data analyzer classified.
+  /// When `use_recorded_values` is true, their recorded performances are
+  /// fed to the kernel instead of re-measuring (the paper's "save time by
+  /// not retrying those configurations again"); otherwise the seeds are
+  /// re-measured live.
   ///
   /// When `estimate_missing` is also true, initial vertices that the
   /// history does not cover (the filler vertices a short history needs) get
@@ -127,27 +147,20 @@ class TuningSession {
   /// space's default configuration).
   void set_start(Configuration start);
 
-  /// Runs the tuning process to convergence or budget exhaustion.
+  /// Runs the tuning process to convergence or budget exhaustion. One
+  /// measurement loop serves every mode: without speculation each step
+  /// measures the pending configuration alone (a frontier of width 1);
+  /// with it, a miss measures the kernel's whole frontier in one batch.
+  /// A disabled retry policy measures through the infallible path.
   [[nodiscard]] TuningResult run();
 
  private:
-  [[nodiscard]] TuningResult run_speculative(
-      std::vector<Configuration> vertices, std::vector<double> seeded_values);
-  [[nodiscard]] TuningResult run_fault_tolerant(
-      std::vector<Configuration> vertices, std::vector<double> seeded_values);
-  /// Builds the configured search kernel over these initial vertices, with
-  /// the retry-aware effective options and the seed history (for kernels
-  /// that can model-seed from prior runs).
-  [[nodiscard]] std::unique_ptr<SearchStrategy> make_kernel(
-      std::vector<Configuration> vertices, std::vector<double> seeded_values);
-
   const ParameterSpace& space_;
   Objective& objective_;
   TuningOptions opts_;
   Configuration start_;
-  std::vector<Configuration> seed_configs_;
-  std::vector<double> seed_values_;  // NaN => measure live
-  std::vector<Measurement> seed_history_;  // estimator input
+  std::vector<Measurement> seed_history_;
+  bool use_recorded_values_ = false;
   bool estimate_missing_ = false;
 };
 

@@ -170,7 +170,7 @@ void append_config_frame(std::vector<std::uint8_t>& out,
   end_frame(out, h);
 }
 
-void append_done_frame(std::vector<std::uint8_t>& out, const SimplexResult& r,
+void append_done_frame(std::vector<std::uint8_t>& out, const SearchResult& r,
                        std::uint32_t full_refits,
                        std::uint32_t incremental_refits,
                        const std::string& strategy) {

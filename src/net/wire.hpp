@@ -72,7 +72,7 @@ void append_config_frame(std::vector<std::uint8_t>& out,
 /// The refit counts and the strategy tag mirror the text DONE's trailing
 /// fields (serving observability); both framings surface them as extra
 /// arguments after the stop reason.
-void append_done_frame(std::vector<std::uint8_t>& out, const SimplexResult& r,
+void append_done_frame(std::vector<std::uint8_t>& out, const SearchResult& r,
                        std::uint32_t full_refits = 0,
                        std::uint32_t incremental_refits = 0,
                        const std::string& strategy = "simplex");

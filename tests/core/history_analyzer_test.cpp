@@ -17,18 +17,6 @@ TEST(Signatures, Distances) {
   EXPECT_THROW((void)signature_distance({1.0}, {1.0, 2.0}), Error);
 }
 
-TEST(ExperienceRecord, BestDedupsAndSorts) {
-  ExperienceRecord r;
-  r.measurements = {{{1.0}, 5.0, false},
-                    {{2.0}, 9.0, false},
-                    {{2.0}, 8.0, false},  // duplicate config, lower perf
-                    {{3.0}, 7.0, false}};
-  const auto best = r.best(2);
-  ASSERT_EQ(best.size(), 2u);
-  EXPECT_DOUBLE_EQ(best[0].performance, 9.0);
-  EXPECT_DOUBLE_EQ(best[1].performance, 7.0);
-}
-
 HistoryDatabase sample_db() {
   HistoryDatabase db;
   ExperienceRecord shopping;

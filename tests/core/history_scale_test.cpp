@@ -707,45 +707,5 @@ TEST_P(AnalyzerQueries, RetrieveBatchIsolatesRejectedQueries) {
 INSTANTIATE_TEST_SUITE_P(AllClassifiers, AnalyzerQueries,
                          ::testing::Values(0, 1, 2));
 
-TEST(ExperienceRecord, BestPartialSelectionMatchesFullSort) {
-  Rng rng(19);
-  for (int trial = 0; trial < 25; ++trial) {
-    ExperienceRecord rec;
-    const int n = 1 + trial * 3;
-    for (int i = 0; i < n; ++i) {
-      // Coarse values and configs force performance ties and duplicate
-      // configurations.
-      const double cfg = static_cast<double>(rng.uniform_int(0, 4));
-      const double perf = static_cast<double>(rng.uniform_int(0, 6));
-      rec.measurements.push_back({{cfg}, perf, false});
-    }
-    // Reference: the old full copy + stable sort + dedup.
-    std::vector<Measurement> sorted = rec.measurements;
-    std::stable_sort(sorted.begin(), sorted.end(),
-                     [](const Measurement& a, const Measurement& b) {
-                       return a.performance > b.performance;
-                     });
-    for (const std::size_t want : {std::size_t{1}, std::size_t{3},
-                                   static_cast<std::size_t>(n + 2)}) {
-      std::vector<Measurement> ref;
-      for (const auto& m : sorted) {
-        const bool dup =
-            std::any_of(ref.begin(), ref.end(), [&](const auto& o) {
-              return o.config == m.config;
-            });
-        if (dup) continue;
-        ref.push_back(m);
-        if (ref.size() == want) break;
-      }
-      const auto got = rec.best(want);
-      ASSERT_EQ(got.size(), ref.size());
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].config, ref[i].config);
-        EXPECT_EQ(got[i].performance, ref[i].performance);
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace harmony

@@ -12,6 +12,8 @@
 //     never "converges" onto a simplex of penalties),
 //   * bit-identity of retry-enabled runs with zero faults against the
 //     legacy infallible path,
+//   * the session's width-1 leg making exactly the Objective calls of a
+//     measure_with_retry loop (enabled) or a measure() loop (disabled),
 //   * a randomized differential: seeds x fault rates x injection modes x
 //     thread counts, trajectories and retry counters bit-identical,
 //   * serve_batch isolation: a failing request — a throwing objective or a
@@ -22,6 +24,7 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -852,6 +855,115 @@ TEST_F(RobustnessTest, EvaluatorExposesPolicyAndAccumulatesStats) {
   EXPECT_EQ(stats.successes, 4u);
   EXPECT_EQ(stats.retries, 2u) << "first call retried each config once";
   expect_accounting_identity(stats);
+}
+
+// ---------------------------------------------------------------------------
+// The width-1 driver leg, call for call
+
+/// Logs which Objective entry point each measurement went through, in
+/// order, and forwards to `inner`.
+class CallLog final : public Objective {
+ public:
+  explicit CallLog(Objective& inner) : inner_(inner) {}
+  double measure(const Configuration& c) override {
+    note("measure", c);
+    return inner_.measure(c);
+  }
+  void measure_batch(std::span<const Configuration> configs,
+                     std::span<double> out) override {
+    calls.push_back("measure_batch");
+    inner_.measure_batch(configs, out);
+  }
+  MeasurementOutcome try_measure(const Configuration& c) override {
+    note("try_measure", c);
+    return inner_.try_measure(c);
+  }
+  void try_measure_batch(std::span<const Configuration> configs,
+                         std::span<MeasurementOutcome> out) override {
+    calls.push_back("try_measure_batch");
+    inner_.try_measure_batch(configs, out);
+  }
+  std::vector<std::string> calls;
+
+ private:
+  void note(const char* kind, const Configuration& c) {
+    std::string s = kind;
+    for (double v : c) s += " " + std::to_string(v);
+    calls.push_back(std::move(s));
+  }
+  Objective& inner_;
+};
+
+TEST_F(RobustnessTest, WidthOneLegMakesTheCallsOfAMeasureWithRetryLoop) {
+  // Without speculation, an enabled policy must measure exactly like a
+  // hand-written measure_with_retry loop over the kernel, and a disabled
+  // one exactly like a plain measure() loop: same Objective calls in the
+  // same order, same trace, same retry accounting. The per-call fault
+  // schedule is order-sensitive, so any reordering shows.
+  const ParameterSpace space = small_space();
+  auto f = [](const Configuration& c) {
+    return -((c[0] - 7) * (c[0] - 7) + (c[1] - 12) * (c[1] - 12));
+  };
+  for (const bool enabled : {true, false}) {
+    SCOPED_TRACE(enabled ? "retry enabled" : "retry disabled");
+    RetryPolicy policy;
+    if (enabled) {
+      policy.max_attempts = 3;
+      policy.tolerate_failures = true;
+    }
+    FaultInjectionOptions fopts;
+    fopts.error_rate = enabled ? 0.4 : 0.0;
+    fopts.mode = FaultInjectionOptions::Mode::kPerCall;
+    fopts.seed = 5;
+
+    FunctionObjective inner(f);
+    FaultInjectingObjective faulty(inner, fopts);
+    CallLog driven(faulty);
+    TuningOptions opts;
+    opts.simplex.max_evaluations = 60;
+    opts.retry = policy;
+    TuningSession session(space, driven, opts);
+    const TuningResult r = session.run();
+
+    FunctionObjective ref_inner(f);
+    FaultInjectingObjective ref_faulty(ref_inner, fopts);
+    CallLog ref(ref_faulty);
+    SimplexOptions so = opts.simplex;
+    if (enabled) so.censored_threshold = policy.censored_value;
+    StepwiseSimplex kernel(space, so,
+                           EvenSpreadStrategy().vertices(space,
+                                                         space.defaults()));
+    RetryStats stats;
+    std::vector<Measurement> trace;
+    while (const Configuration* c = kernel.peek()) {
+      Measurement m{*c, 0.0};
+      if (enabled) {
+        const MeasurementOutcome o =
+            measure_with_retry(ref, *c, policy, stats);
+        m.censored = !o.ok();
+        m.performance = m.censored ? policy.censored_value : o.value;
+      } else {
+        m.performance = ref.measure(*c);
+      }
+      kernel.report(m.performance);
+      trace.push_back(std::move(m));
+    }
+
+    EXPECT_EQ(driven.calls, ref.calls);
+    EXPECT_EQ(trace_hex(r.trace), trace_hex(trace));
+    EXPECT_EQ(r.retry, stats) << stats_str(r.retry);
+    EXPECT_EQ(r.stop_reason, kernel.result().stop_reason);
+    expect_accounting_identity(r.retry);
+    if (enabled) {
+      EXPECT_GT(r.retry.retries, 0u) << "the schedule must inject faults";
+    } else {
+      EXPECT_EQ(r.retry, RetryStats{});
+    }
+    const SpeculationStats& spec = r.speculation;
+    EXPECT_EQ(spec.batches + spec.measured + spec.consumed + spec.cache_hits +
+                  spec.wasted,
+              0u);
+  }
 }
 
 }  // namespace

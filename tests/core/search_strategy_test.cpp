@@ -291,11 +291,11 @@ TEST_F(SearchStrategyTest, SerialAndSpeculativeTracesBitIdenticalPerKernel) {
 /// the seeded run stays deterministic and in bounds.
 TEST_F(SearchStrategyTest, EvolutionaryModelSeedingFromHistoryIsDeterministic) {
   const ParameterSpace space = symmetric_space(3, 5.0, 1.0);
-  std::vector<std::pair<Configuration, double>> history;
+  std::vector<Measurement> history;
   Rng rng(17);
   for (int i = 0; i < 6; ++i) {
     const Configuration c = space.random_configuration(rng);
-    history.emplace_back(c, quadratic(c));
+    history.push_back({c, quadratic(c)});
   }
   SearchSpec spec;
   spec.kernel = "evolutionary";

@@ -229,14 +229,14 @@ TEST_P(StepwiseEquivalence, MatchesBlockingSearch) {
   const auto verts = strategy.vertices(space, space.defaults());
 
   SimplexSearch blocking(space, opts);
-  const SimplexResult a = blocking.maximize(
+  const SearchResult a = blocking.maximize(
       [&](const Configuration& c) { return objective.measure(c); }, verts);
 
   StepwiseSimplex machine(space, opts, verts);
   while (const Configuration* c = machine.peek()) {
     machine.submit(objective.measure(*c));
   }
-  const SimplexResult& b = machine.result();
+  const SearchResult& b = machine.result();
 
   EXPECT_EQ(a.best, b.best);
   EXPECT_DOUBLE_EQ(a.best_value, b.best_value);

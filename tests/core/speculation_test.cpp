@@ -3,11 +3,13 @@
 // pin that contract with hexfloat-rendered traces (bit-identity, readable
 // diffs) across initial-simplex strategies, warm starts and thread counts,
 // check the frontier's structural invariants against hand-computed
-// candidates, audit the speculation accounting, and pin serve_batch's
-// thread-count determinism and write ordering.
+// candidates, audit the speculation accounting, pin serve_batch's
+// thread-count determinism and write ordering, and pin a warm-started
+// session served over the protocol to the in-process one, for every kernel.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -15,6 +17,9 @@
 #include <gtest/gtest.h>
 
 #include "core/objective.hpp"
+#include "core/protocol.hpp"
+#include "core/rsl.hpp"
+#include "core/search_kernels.hpp"
 #include "core/server.hpp"
 #include "core/simplex.hpp"
 #include "core/strategies.hpp"
@@ -345,8 +350,8 @@ ServeOutcome run_serve_batch(unsigned threads, bool speculative) {
     out.traces.push_back(trace_hex(r.tuning.trace));
     out.labels.push_back(r.experience_label.value_or("<cold>"));
   }
-  for (const ExperienceRecord& rec : server.database().records()) {
-    out.db_labels.push_back(rec.label);
+  for (std::size_t i = 0; i < server.database().size(); ++i) {
+    out.db_labels.push_back(server.database().record(i).label);
   }
   return out;
 }
@@ -409,6 +414,124 @@ TEST_F(SpeculationTest, TuneMatchesSingleRequestServeBatch) {
     return trace_hex(server.tune(obj, sig, "solo").tuning.trace);
   };
   EXPECT_EQ(run_one(false), run_one(true));
+}
+
+// ---------------------------------------------------------------------------
+// Served warm start == in-process warm start
+
+/// Everything a client can observe of one session, bit for bit.
+struct SessionOutcome {
+  std::string trace;
+  Configuration best;
+  double best_performance = 0.0;
+  int evaluations = 0;
+  std::string stop_reason;
+  std::string experience;
+};
+
+constexpr const char* kParityRsl =
+    "{ harmonyBundle x { int {0 20 1 10} } } "
+    "{ harmonyBundle y { int {0 20 1 10} } } "
+    "{ harmonyBundle z { int {0 20 1 10} } }";
+
+double parity_objective(const Configuration& c) {
+  return 100.0 - (c[0] - 13.0) * (c[0] - 13.0) -
+         2.0 * (c[1] - 6.0) * (c[1] - 6.0) - 0.5 * (c[2] - 9.0) * (c[2] - 9.0);
+}
+
+/// Two prior experiences: one recorded by a cold served run (on-grid), and
+/// one hand-made whose configurations are off-grid — its two best snap to
+/// the same grid point (12.4, 5.6, 8.2) and (11.6, 6.4, 7.8) -> (12, 6, 8).
+const WorkloadSignature kOnGrid = {1.0, 0.0};
+const WorkloadSignature kOffGrid = {0.0, 1.0};
+
+void add_parity_history(HarmonyServer& server) {
+  FunctionObjective objective(parity_objective);
+  (void)server.tune(objective, kOnGrid, "on-grid");
+  ExperienceRecord rec;
+  rec.label = "off-grid";
+  rec.signature = kOffGrid;
+  Rng rng(23);
+  for (int i = 0; i < 12; ++i) {
+    Configuration c;
+    for (int d = 0; d < 3; ++d) c.push_back(rng.uniform(0.0, 20.0));
+    rec.measurements.push_back({c, 40.0 + static_cast<double>(i)});
+  }
+  rec.measurements.push_back({{12.4, 5.6, 8.2}, 99.0});
+  rec.measurements.push_back({{11.6, 6.4, 7.8}, 98.5});
+  rec.measurements.push_back({{3.0, 3.0, 3.0}, -1.0e30, false, true});
+  server.database().add(std::move(rec));
+}
+
+SessionOutcome serve_in_process(HarmonyServer& server,
+                                const WorkloadSignature& sig) {
+  FunctionObjective objective(parity_objective);
+  const std::vector<ServeRequest> rq = {{&objective, sig, "parity"}};
+  const ServedTuningResult r = server.serve_batch(rq)[0];
+  return {trace_hex(r.tuning.trace), r.tuning.best_config,
+          r.tuning.best_performance, r.tuning.evaluations,
+          r.tuning.stop_reason, r.experience_label.value_or("<cold>")};
+}
+
+SessionOutcome serve_over_protocol(HistoryDatabase& db,
+                                   const ServerOptions& sopts,
+                                   const WorkloadSignature& sig) {
+  proto::SessionOptions opts;
+  opts.tuning = sopts.tuning;
+  opts.use_recorded_values = sopts.use_recorded_values;
+  opts.record_experience = false;
+  proto::ServerSession session(opts, &db);
+  proto::HarmonyClient client(
+      [&session](const proto::Message& m) { return session.handle(m); });
+  client.open("parity", kParityRsl, sopts.tuning.search.kernel);
+  const std::optional<std::string> label = client.send_signature(sig);
+  std::vector<Measurement> trace;
+  while (const std::optional<Configuration> c = client.fetch()) {
+    const double v = parity_objective(*c);
+    client.report(v);
+    trace.push_back({*c, v});
+  }
+  client.close();
+  return {trace_hex(trace), client.best_configuration(),
+          client.best_performance(), client.evaluations(),
+          client.stop_reason(), label.value_or("<cold>")};
+}
+
+TEST_F(SpeculationTest, ServedWarmStartMatchesInProcessForEveryKernel) {
+  const ParameterSpace space = parse_rsl(kParityRsl);
+  for (const std::string& kernel : search_kernel_names()) {
+    for (const bool recorded : {true, false}) {
+      for (const unsigned threads : {1u, 8u}) {
+        set_thread_count(threads);
+        ServerOptions sopts;
+        sopts.tuning.simplex.max_evaluations = 60;
+        sopts.tuning.search.kernel = kernel;
+        sopts.use_recorded_values = recorded;
+        HarmonyServer recorder(space, sopts);
+        add_parity_history(recorder);
+        // Both sides read one database that neither writes to.
+        sopts.record_experience = false;
+        HarmonyServer server(space, sopts);
+        server.database() = recorder.database();
+        for (const WorkloadSignature& sig : {kOnGrid, kOffGrid}) {
+          const std::string want = sig == kOnGrid ? "on-grid" : "off-grid";
+          SCOPED_TRACE(testing::Message() << kernel << " recorded=" << recorded
+                                          << " threads=" << threads << " "
+                                          << want);
+          const SessionOutcome local = serve_in_process(server, sig);
+          const SessionOutcome wire =
+              serve_over_protocol(server.database(), sopts, sig);
+          EXPECT_EQ(local.experience, want);
+          EXPECT_EQ(wire.experience, want);
+          EXPECT_EQ(wire.trace, local.trace);
+          EXPECT_EQ(wire.best, local.best);
+          EXPECT_EQ(wire.best_performance, local.best_performance);
+          EXPECT_EQ(wire.evaluations, local.evaluations);
+          EXPECT_EQ(wire.stop_reason, local.stop_reason);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

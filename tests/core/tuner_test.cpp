@@ -1,9 +1,13 @@
 #include "core/tuner.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "synth/landscapes.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace harmony {
 namespace {
@@ -123,6 +127,93 @@ TEST(TuningSession, EstimatorFillsMissingTrainingVertices) {
   // immediately.
   EXPECT_TRUE(is_filler(without));
   EXPECT_FALSE(is_filler(with));
+}
+
+TEST(PlanWarmStart, WithoutPriorIsTheColdStrategy) {
+  const ParameterSpace space = symmetric_space(2, 10.0, 1.0);
+  const ExtremeCornerStrategy cold;
+  const WarmStartPlan plan =
+      plan_warm_start(space, cold, space.defaults(), {}, true);
+  EXPECT_EQ(plan.vertices, cold.vertices(space, space.defaults()));
+  EXPECT_TRUE(plan.values.empty());
+  EXPECT_TRUE(plan.history.empty());
+}
+
+TEST(PlanWarmStart, SeedsAreTheBestDistinctConfigurationsAfterSnapping) {
+  // Grid step 1 on [-5, 5]: 1.8 and 2.2 are recorded separately but snap
+  // to the same grid point 2, which must take one seed slot, with the
+  // better of the two values.
+  const ParameterSpace space = symmetric_space(1, 5.0, 1.0);
+  const std::vector<Measurement> prior = {{{1.0}, 5.0},
+                                          {{2.2}, 9.0},
+                                          {{1.8}, 8.0},
+                                          {{-3.0}, -1.0e30, false, true},
+                                          {{3.0}, 7.0},
+                                          {{-1.0}, 7.0}};
+  const EvenSpreadStrategy cold;
+  const WarmStartPlan plan =
+      plan_warm_start(space, cold, space.defaults(), prior, true);
+  // n + 1 = 2 seeds, best first; 3 and -1 tie at 7, so the earlier wins.
+  ASSERT_EQ(plan.vertices.size(), 2u);
+  EXPECT_EQ(plan.vertices[0], Configuration{2.0});
+  EXPECT_EQ(plan.vertices[1], Configuration{3.0});
+  ASSERT_EQ(plan.values.size(), 2u);
+  EXPECT_EQ(plan.values[0], 9.0);
+  EXPECT_EQ(plan.values[1], 7.0);
+  // Every measurement passed in, censored ones included (kernels skip
+  // those themselves).
+  EXPECT_EQ(plan.history.data(), prior.data());
+  EXPECT_EQ(plan.history.size(), prior.size());
+
+  const WarmStartPlan live =
+      plan_warm_start(space, cold, space.defaults(), prior, false);
+  EXPECT_EQ(live.vertices, plan.vertices);
+  ASSERT_EQ(live.values.size(), 2u);
+  EXPECT_TRUE(std::isnan(live.values[0]));
+  EXPECT_TRUE(std::isnan(live.values[1]));
+}
+
+TEST(PlanWarmStart, SelectionMatchesAStableSortOfTheSnappedHistory) {
+  // Coarse values and off-grid configurations force performance ties and
+  // snap collisions; the reference is the stable sort + dedup spelled out.
+  const ParameterSpace space = symmetric_space(3, 4.0, 2.0);
+  const EvenSpreadStrategy cold;
+  Rng rng(19);
+  for (int trial = 0; trial < 25; ++trial) {
+    std::vector<Measurement> prior;
+    const int n = 1 + trial * 3;
+    for (int i = 0; i < n; ++i) {
+      Configuration c;
+      for (int d = 0; d < 3; ++d) c.push_back(rng.uniform(-4.0, 4.0));
+      prior.push_back(
+          {c, static_cast<double>(rng.uniform_int(0, 6)), false});
+    }
+    std::vector<Measurement> sorted = prior;
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [](const Measurement& a, const Measurement& b) {
+                       return a.performance > b.performance;
+                     });
+    std::vector<Measurement> ref;
+    for (const Measurement& m : sorted) {
+      const Configuration c = space.snap(m.config);
+      const bool dup = std::any_of(ref.begin(), ref.end(), [&](const auto& o) {
+        return o.config == c;
+      });
+      if (dup) continue;
+      ref.push_back({c, m.performance});
+      if (ref.size() == space.size() + 1) break;
+    }
+    const WarmStartPlan plan =
+        plan_warm_start(space, cold, space.defaults(), prior, true);
+    ASSERT_EQ(plan.vertices.size(), space.size() + 1);
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      EXPECT_EQ(plan.vertices[i], ref[i].config) << "trial " << trial;
+      EXPECT_EQ(plan.values[i], ref[i].performance) << "trial " << trial;
+    }
+    for (std::size_t i = ref.size(); i < plan.values.size(); ++i) {
+      EXPECT_TRUE(std::isnan(plan.values[i])) << "filler " << i;
+    }
+  }
 }
 
 TEST(TuningSession, ValidatesInputs) {

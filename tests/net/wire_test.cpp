@@ -66,7 +66,7 @@ TEST(WireCodec, HotShapesMatchTextFraming) {
   EXPECT_EQ(m.args[0], "3");
   EXPECT_EQ(m.args[3], format_double(1e300));
 
-  SimplexResult r;
+  SearchResult r;
   r.best = {3.0, -2.0};
   r.best_value = -0.25;
   r.evaluations = 42;

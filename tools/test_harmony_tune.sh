@@ -251,7 +251,10 @@ echo "served ils: $servedils"
 stop_daemon
 
 # A recording daemon warm-starts the second run from the first one's
-# experience; the warm run must not need more measurements than the cold.
+# experience; the warm run must not need more measurements than the cold,
+# and — the daemon's one record being the in-process cold run's trace, and
+# both sides re-measuring seeds — must reproduce the in-process warm run
+# over the same one-record history line for line.
 start_daemon --budget 40 --quiet
 svcold=$("$TUNE" --rsl "$DIR/params.rsl" --quiet \
          --connect "127.0.0.1:$PORT" -- "$DIR/app.sh")
@@ -266,6 +269,9 @@ svwarm_runs=$(echo "$svwarm" | sed 's/.*after \([0-9]*\) runs.*/\1/')
 [ "$svwarm_runs" -le "$svcold_runs" ] || {
   echo "FAIL: served warm run ($svwarm_runs) used more runs than cold"
   echo "($svcold_runs)"; exit 1; }
+[ "$svwarm" = "$warm" ] || {
+  echo "FAIL: served warm run diverged from the in-process warm run";
+  echo "  in-process: $warm"; echo "  served:     $svwarm"; exit 1; }
 stop_daemon
 
 # Client mode delegates the search, so search-shaping flags are rejected.
