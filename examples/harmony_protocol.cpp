@@ -4,25 +4,27 @@
 // server exactly the way a deployed Active Harmony client would: register
 // bundles in the RSL, send the observed workload signature, then loop
 // fetch-configuration / run / report-performance until the server says
-// DONE. The transport is an in-process loopback; a real deployment would
-// put the same messages on a socket.
+// DONE. The transport is an in-process host (host_session), which runs
+// each request through the same batch executor as the network daemon; a
+// real deployment puts the same messages on a socket (harmony_serve).
 #include <cstdio>
 
 #include "core/protocol.hpp"
 #include "core/rsl.hpp"
+#include "core/server.hpp"
 #include "websim/cluster.hpp"
 
 int main() {
   using namespace harmony;
   using namespace harmony::websim;
 
-  // The server side: a session with a shared experience database.
+  // The server side: a session hosted over a shared experience database.
   HistoryDatabase db;
+  const DataAnalyzer analyzer;
   proto::SessionOptions sopts;
   sopts.tuning.simplex.max_evaluations = 80;
-  proto::ServerSession session(sopts, &db);
-  proto::HarmonyClient client(
-      [&](const proto::Message& m) { return session.handle(m); });
+  proto::ServerSession session(sopts);
+  proto::HarmonyClient client(host_session(session, db, analyzer));
 
   // The client side: the web service under a shopping workload.
   SimOptions sim;

@@ -915,6 +915,9 @@ WorkloadSignature DataAnalyzer::characterize(
 void DataAnalyzer::ensure_fitted(const HistoryDatabase& db) const {
   if (db.empty()) return;
   const SignatureView view = db.signature_view();
+  // Nothing classifies against a history that mixes arities (every query
+  // is rejected), and some classifiers cannot even be fitted over one.
+  if (view.dims == SignatureView::kMixedDims) return;
   // refit() picks the cheapest sound path: no-op on a matching version,
   // the incremental update when the database only appended since the last
   // fit, a full rebuild otherwise.
@@ -949,13 +952,6 @@ std::optional<std::size_t> DataAnalyzer::classify(
   return classifier_->classify(observed);
 }
 
-const ExperienceRecord* DataAnalyzer::retrieve(
-    const HistoryDatabase& db, const WorkloadSignature& observed) const {
-  const auto idx = classify(db, observed);
-  if (!idx) return nullptr;
-  return &db.record(*idx);
-}
-
 std::vector<DataAnalyzer::Retrieval> DataAnalyzer::retrieve_batch(
     const HistoryDatabase& db,
     std::span<const WorkloadSignature* const> queries) const {
@@ -964,6 +960,7 @@ std::vector<DataAnalyzer::Retrieval> DataAnalyzer::retrieve_batch(
   std::vector<const WorkloadSignature*> accepted;
   std::vector<std::size_t> slots;
   for (std::size_t i = 0; i < queries.size(); ++i) {
+    if (queries[i] == nullptr) continue;
     if (const char* why = query_rejection(view, *queries[i])) {
       out[i].error = why;
     } else if (!db.empty()) {

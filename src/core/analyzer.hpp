@@ -473,14 +473,15 @@ class DataAnalyzer {
       int samples);
 
   /// Refits the classifier if the database's version stamp moved since the
-  /// last fit (no-op otherwise, and for an empty database). When the
+  /// last fit (no-op otherwise, and for an empty database or one that mixes
+  /// signature arities, against which every query is rejected). When the
   /// database merely appended records since the last fit (same append
   /// chain), the classifier absorbs just the new rows instead of rebuilding
   /// — steady-state serving ingest costs O(batch), not O(db). Call once
-  /// before issuing classify()/retrieve() from several threads against a
-  /// stable database: with the model already fitted, those calls are pure
-  /// reads of the fitted state and therefore safe to run concurrently.
-  /// The serving front end's dispatch_batch uses exactly this protocol;
+  /// before issuing classify() from several threads against a stable
+  /// database: with the model already fitted, those calls are pure reads of
+  /// the fitted state and therefore safe to run concurrently. The serving
+  /// batch executor (execute_batch, core/server.hpp) fits once per batch;
   /// retrieve_batch() calls it itself.
   void ensure_fitted(const HistoryDatabase& db) const;
 
@@ -489,8 +490,8 @@ class DataAnalyzer {
     return classifier_->refit_stats();
   }
 
-  /// The underlying classifier; lets sequential server sessions share one
-  /// fitted model instead of each refitting its own.
+  /// The underlying classifier (copies of a DataAnalyzer share it, and with
+  /// it one fitted model).
   [[nodiscard]] const std::shared_ptr<Classifier>& classifier()
       const noexcept {
     return classifier_;
@@ -503,11 +504,6 @@ class DataAnalyzer {
   [[nodiscard]] std::optional<std::size_t> classify(
       const HistoryDatabase& db, const WorkloadSignature& observed) const;
 
-  /// The matching experience record, or nullptr when the database is empty.
-  /// Rejects queries as classify() does.
-  [[nodiscard]] const ExperienceRecord* retrieve(
-      const HistoryDatabase& db, const WorkloadSignature& observed) const;
-
   /// Outcome of one query of retrieve_batch().
   struct Retrieval {
     /// The matching experience; nullptr when the database is empty or the
@@ -518,10 +514,10 @@ class DataAnalyzer {
     std::string error;
   };
 
-  /// retrieve() for a whole batch: every accepted query is classified in
-  /// one Classifier::classify_batch call (after one ensure_fitted), and a
-  /// rejected query only marks its own entry — the others get exactly the
-  /// records a loop of retrieve() would return.
+  /// The matching experience record of every query, classified in one
+  /// Classifier::classify_batch call (after one ensure_fitted) exactly as
+  /// classify() would one by one. A rejected query only marks its own
+  /// entry; a null query is skipped.
   [[nodiscard]] std::vector<Retrieval> retrieve_batch(
       const HistoryDatabase& db,
       std::span<const WorkloadSignature* const> queries) const;

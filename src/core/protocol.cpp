@@ -99,25 +99,28 @@ Message error(const std::string& what) {
   return {"ERROR", {std::move(clean)}};
 }
 
-ServerSession::ServerSession(SessionOptions options, HistoryDatabase* database)
-    : opts_(std::move(options)),
-      db_(database),
-      analyzer_(opts_.classifier != nullptr ? DataAnalyzer(opts_.classifier)
-                                            : DataAnalyzer()) {
+ServerSession::ServerSession(SessionOptions options)
+    : opts_(std::move(options)) {
   HARMONY_REQUIRE(opts_.tuning.strategy != nullptr,
                   "null initial-simplex strategy");
 }
-
-ServerSession::~ServerSession() = default;
-ServerSession::ServerSession(ServerSession&&) noexcept = default;
-ServerSession& ServerSession::operator=(ServerSession&&) noexcept = default;
 
 bool ServerSession::finished() const noexcept {
   return state_ == State::kClosed ||
          (kernel_ != nullptr && kernel_->finished());
 }
 
-Message ServerSession::handle(const Message& request) {
+std::optional<WorkloadSignature> ServerSession::signature_query(
+    const Message& request) const {
+  if (state_ != State::kTuning || !request.is("SIGNATURE")) return std::nullopt;
+  try {
+    return parse_signature(request);
+  } catch (const Error&) {
+    return std::nullopt;
+  }
+}
+
+Message ServerSession::handle(const Message& request, const HostInput& host) {
   try {
     if (request.is("BYE")) return handle_bye();
     switch (state_) {
@@ -128,8 +131,8 @@ Message ServerSession::handle(const Message& request) {
         if (request.is("BUNDLES")) return handle_bundles(request);
         return error("expected BUNDLES");
       case State::kTuning:
-        if (request.is("SIGNATURE")) return handle_signature(request);
-        if (request.is("FETCH")) return handle_fetch();
+        if (request.is("SIGNATURE")) return handle_signature(request, host);
+        if (request.is("FETCH")) return handle_fetch(host);
         if (request.is("REPORT")) return handle_report(request);
         return error("unexpected verb in tuning state: " + request.verb);
       case State::kClosed:
@@ -176,41 +179,39 @@ Message ServerSession::handle_bundles(const Message& m) {
   return reply;
 }
 
-Message ServerSession::handle_signature(const Message& m) {
+WorkloadSignature ServerSession::parse_signature(const Message& m) const {
   if (!trace_.empty() || outstanding_.has_value()) {
-    return error("SIGNATURE must precede the first FETCH");
+    throw Error("SIGNATURE must precede the first FETCH");
   }
-  if (m.args.empty()) return error("SIGNATURE needs a length");
+  if (m.args.empty()) throw Error("SIGNATURE needs a length");
   const long k = parse_long(m.args[0]);
   if (k < 0 || static_cast<std::size_t>(k) + 1 != m.args.size()) {
-    return error("SIGNATURE arity mismatch");
+    throw Error("SIGNATURE arity mismatch");
   }
-  // Parsed aside so a rejected SIGNATURE leaves the session's signature
-  // (the one its experience is stored under) untouched.
   WorkloadSignature signature;
   for (long i = 0; i < k; ++i) {
     signature.push_back(parse_double(m.args[static_cast<std::size_t>(i) + 1]));
   }
   if (!signature_is_finite(signature)) {
-    return error("SIGNATURE values must be finite");
+    throw Error("SIGNATURE values must be finite");
   }
-  signature_ = std::move(signature);
+  return signature;
+}
 
+Message ServerSession::handle_signature(const Message& m,
+                                        const HostInput& host) {
+  WorkloadSignature signature =
+      host.query != nullptr ? *host.query : parse_signature(m);
+  // Only an accepted signature replaces the session's: it is the one the
+  // finished run is stored under.
+  if (!host.warm.error.empty()) return error(host.warm.error);
+  signature_ = std::move(signature);
   Message reply = ok();
-  if (db_ != nullptr && !db_->empty()) {
-    // A shared analyzer is pre-fitted by its owner (the serving front end's
-    // per-batch ensure_fitted), making retrieve a pure read. The session's
-    // own analyzer refits lazily — and when SessionOptions::classifier is
-    // set, sequential sessions wrap the same classifier, so an unchanged
-    // database costs a version check instead of a per-session rebuild.
-    const DataAnalyzer& analyzer =
-        opts_.shared_analyzer != nullptr ? *opts_.shared_analyzer : analyzer_;
-    if (const ExperienceRecord* exp = analyzer.retrieve(*db_, signature_)) {
-      // Warm start: rebuild the kernel from the experience's measurements.
-      start_kernel(exp->measurements);
-      reply.args.push_back("experience");
-      reply.args.push_back(exp->label);
-    }
+  if (const ExperienceRecord* exp = host.warm.record) {
+    // Warm start: rebuild the kernel from the experience's measurements.
+    start_kernel(exp->measurements);
+    reply.args.push_back("experience");
+    reply.args.push_back(exp->label);
   }
   return reply;
 }
@@ -228,14 +229,9 @@ ServerSession::FetchStep ServerSession::step_fetch() {
   }
   const Configuration* next = kernel_->peek();
   if (next == nullptr) {
-    store_experience();
+    run_over_ = true;
     step.kind = FetchStep::Kind::kDone;
     step.result = &kernel_->result();
-    const DataAnalyzer& analyzer =
-        opts_.shared_analyzer != nullptr ? *opts_.shared_analyzer : analyzer_;
-    const auto& rs = analyzer.refit_stats();
-    step.full_refits = static_cast<std::uint32_t>(rs.full);
-    step.incremental_refits = static_cast<std::uint32_t>(rs.incremental);
     step.strategy = &kernel_name_;
     return step;
   }
@@ -262,7 +258,7 @@ const char* ServerSession::step_report(double performance) {
   return nullptr;
 }
 
-Message ServerSession::handle_fetch() {
+Message ServerSession::handle_fetch(const HostInput& host) {
   const FetchStep step = step_fetch();
   if (step.kind == FetchStep::Kind::kError) return error(step.error);
   if (step.kind == FetchStep::Kind::kDone) {
@@ -273,8 +269,8 @@ Message ServerSession::handle_fetch() {
     reply.args.push_back(format_double(r.best_value));
     reply.args.push_back(std::to_string(r.evaluations));
     reply.args.push_back(r.stop_reason);
-    reply.args.push_back(std::to_string(step.full_refits));
-    reply.args.push_back(std::to_string(step.incremental_refits));
+    reply.args.push_back(std::to_string(host.refits.full));
+    reply.args.push_back(std::to_string(host.refits.incremental));
     reply.args.push_back(*step.strategy);
     return reply;
   }
@@ -292,32 +288,18 @@ Message ServerSession::handle_report(const Message& m) {
 }
 
 Message ServerSession::handle_bye() {
-  if (state_ == State::kTuning) store_experience();
+  if (state_ == State::kTuning) run_over_ = true;
   state_ = State::kClosed;
   return ok();
 }
 
-void ServerSession::store_experience() {
-  if (!opts_.record_experience || experience_stored_ || trace_.empty() ||
-      (db_ == nullptr && !opts_.defer_experience)) {
-    return;
-  }
-  ExperienceRecord rec;
-  rec.label = client_name_;
-  rec.signature = signature_;
-  rec.measurements = trace_;
-  if (opts_.defer_experience) {
-    pending_experience_ = std::move(rec);
-  } else {
-    db_->add(std::move(rec));
-  }
-  experience_stored_ = true;
-}
-
 std::optional<ExperienceRecord> ServerSession::take_pending_experience() {
-  std::optional<ExperienceRecord> out;
-  pending_experience_.swap(out);
-  return out;
+  if (!run_over_ || experience_taken_ || !opts_.record_experience ||
+      trace_.empty() || !signature_.has_value()) {
+    return std::nullopt;
+  }
+  experience_taken_ = true;
+  return ExperienceRecord{client_name_, *signature_, trace_};
 }
 
 HarmonyClient::HarmonyClient(Transport transport)

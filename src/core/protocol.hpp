@@ -6,8 +6,10 @@
 // runs with it, and reports the observed performance (§2, Appendix B). This
 // module implements that exchange as a line-oriented text protocol plus a
 // server-side session state machine and a client convenience wrapper. The
-// transport is abstract (any request/response callable), so tests and
-// examples run it in-process while a deployment would put it on a socket.
+// transport is abstract (any request/response callable): tests and
+// examples host a session in process (host_session, core/server.hpp) and
+// the daemon puts it on a socket (net::TuningService); both run it through
+// the same batch executor, which owns the history.
 //
 // Exchange:
 //   C: HELLO <client-name> [strategy=<kernel>]
@@ -104,45 +106,50 @@ struct SessionOptions {
   /// Feed recorded performances from retrieved experience to the kernel as
   /// the training stage instead of re-measuring.
   bool use_recorded_values = true;
-  /// Store the finished run back into the database under the client name.
+  /// Hand the finished run back for the history, stored under the client
+  /// name (see ServerSession::take_pending_experience).
   bool record_experience = true;
-  /// Defer experience: instead of writing straight into the database at
-  /// DONE/BYE, park the finished record for take_pending_experience().
-  /// The serving front end uses this to batch database/store writes into
-  /// one group commit per coalesced batch (and to keep the database
-  /// read-only while sessions execute on pool threads).
-  bool defer_experience = false;
-  /// Warm-start retrieval goes through this analyzer instead of the
-  /// session's own. The caller owns fitting: call ensure_fitted() whenever
-  /// the database may have moved, *before* handing requests to sessions —
-  /// retrievals are then pure reads, safe from concurrent sessions. The
-  /// serving front end fits once per dispatched batch.
-  const harmony::DataAnalyzer* shared_analyzer = nullptr;
-  /// Classifier the session's own analyzer wraps (ignored with
-  /// shared_analyzer set). Sequential sessions sharing one classifier share
-  /// its fitted model: against an unchanged database the second session's
-  /// retrieval is a version-check no-op instead of a full refit. Not for
-  /// concurrent sessions — the lazy refit mutates shared state.
-  std::shared_ptr<harmony::Classifier> classifier;
   /// Per-session step budget: maximum configurations handed out over the
   /// session's lifetime; a FETCH past the budget gets a clean ERROR
   /// (admission control for the serving front end). 0 = unlimited.
   std::size_t max_steps = 0;
 };
 
-/// Server-side session: one per connected client. The shared database (may
-/// be null) provides prior-run experience across sessions.
+/// What the host running a session (execute_batch, core/server.hpp) hands
+/// it with a request: the session itself holds no history and no
+/// classifier.
+struct HostInput {
+  /// This request's signature_query() when the host took it (handle() then
+  /// does not parse the SIGNATURE again), and its classification: the
+  /// warm-start record, or why the history rejects the signature. Empty (no
+  /// history): the signature is accepted cold.
+  const WorkloadSignature* query = nullptr;
+  DataAnalyzer::Retrieval warm;
+  /// The host classifier's cumulative refit counts (echoed on DONE).
+  Classifier::RefitStats refits;
+};
+
+/// Server-side session: one per connected client, a pure protocol state
+/// machine. Warm starts come in through HostInput; the finished run goes
+/// back out through take_pending_experience().
 class ServerSession {
  public:
-  explicit ServerSession(SessionOptions options = {},
-                         HistoryDatabase* database = nullptr);
-  ~ServerSession();
-  ServerSession(ServerSession&&) noexcept;
-  ServerSession& operator=(ServerSession&&) noexcept;
+  explicit ServerSession(SessionOptions options = {});
+
+  /// The workload signature `request` asks the host to classify: the
+  /// payload of a SIGNATURE this session would accept (tuning state, before
+  /// the first FETCH, well-formed and finite). nullopt for every other
+  /// request, a malformed SIGNATURE included — handle() answers those with
+  /// the precise ERROR.
+  [[nodiscard]] std::optional<WorkloadSignature> signature_query(
+      const Message& request) const;
 
   /// Processes one request and produces the response. Never throws for
   /// protocol-level problems (returns ERROR); throws only on internal bugs.
-  [[nodiscard]] Message handle(const Message& request);
+  /// A SIGNATURE the history rejects (host.warm.error) is answered with
+  /// that ERROR and leaves the session's signature as it was.
+  [[nodiscard]] Message handle(const Message& request,
+                               const HostInput& host = {});
 
   /// Zero-copy step API for hot-path transports (the binary wire codec):
   /// the FETCH/REPORT exchange without Message construction or number
@@ -153,10 +160,6 @@ class ServerSession {
     const Configuration* config = nullptr;  ///< kConfig: measure this
     const SearchResult* result = nullptr;   ///< kDone: final result
     const char* error = nullptr;            ///< kError: static message
-    /// kDone: cumulative full/incremental refit counts of the analyzer the
-    /// session retrieves through (serving observability, echoed on DONE).
-    std::uint32_t full_refits = 0;
-    std::uint32_t incremental_refits = 0;
     /// kDone: name of the search kernel that ran the session (the DONE
     /// strategy tag). Points at session state, valid like `result`.
     const std::string* strategy = nullptr;
@@ -173,13 +176,11 @@ class ServerSession {
   [[nodiscard]] const std::vector<Measurement>& trace() const noexcept {
     return trace_;
   }
-  /// Client name from HELLO (empty before it) — the serving front end's
-  /// tenant key.
-  [[nodiscard]] const std::string& client_name() const noexcept {
-    return client_name_;
-  }
-  /// With SessionOptions::defer_experience, the finished run's record
-  /// (once, after DONE/BYE produced it); nullopt otherwise.
+  /// The finished run's record, once, after DONE (or BYE while tuning).
+  /// nullopt before, and when there is nothing to record: record_experience
+  /// is off, no measurement was reported, or no SIGNATURE was accepted — a
+  /// run stored under a signature the history never accepted would poison
+  /// every later classification.
   [[nodiscard]] std::optional<ExperienceRecord> take_pending_experience();
 
  private:
@@ -187,11 +188,13 @@ class ServerSession {
 
   Message handle_hello(const Message& m);
   Message handle_bundles(const Message& m);
-  Message handle_signature(const Message& m);
-  Message handle_fetch();
+  Message handle_signature(const Message& m, const HostInput& host);
+  Message handle_fetch(const HostInput& host);
   Message handle_report(const Message& m);
   Message handle_bye();
-  void store_experience();
+  /// A SIGNATURE's payload, checked against the session state; throws
+  /// harmony::Error with the ERROR text otherwise.
+  [[nodiscard]] WorkloadSignature parse_signature(const Message& m) const;
 
   /// (Re)builds the kernel from plan_warm_start over `prior` (empty: the
   /// cold start). It runs the server's default kernel
@@ -199,20 +202,18 @@ class ServerSession {
   void start_kernel(std::span<const Measurement> prior);
 
   SessionOptions opts_;
-  HistoryDatabase* db_;
-  DataAnalyzer analyzer_;
   State state_ = State::kAwaitHello;
   std::string client_name_;
   std::string requested_strategy_;  ///< from HELLO; empty = server default
   std::string kernel_name_;         ///< name of the running kernel (DONE tag)
   ParameterSpace space_;
-  WorkloadSignature signature_;
+  std::optional<WorkloadSignature> signature_;  ///< last accepted SIGNATURE
   std::unique_ptr<SearchStrategy> kernel_;
   std::optional<Configuration> outstanding_;
   std::vector<Measurement> trace_;
-  bool experience_stored_ = false;
+  bool run_over_ = false;  ///< DONE reached, or BYE while tuning
+  bool experience_taken_ = false;
   std::size_t steps_issued_ = 0;
-  std::optional<ExperienceRecord> pending_experience_;
 };
 
 /// Request/response transport the client sends through.

@@ -7,6 +7,7 @@
 // workloads), and the finished run is stored back as new experience.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -16,6 +17,7 @@
 #include "core/history.hpp"
 #include "core/objective.hpp"
 #include "core/parameter.hpp"
+#include "core/protocol.hpp"
 #include "core/store.hpp"
 #include "core/tuner.hpp"
 
@@ -23,13 +25,32 @@ namespace harmony {
 
 /// Batched experience write-back: appends `records` to the database — and
 /// mirrors them into `store`'s append-only log when non-null — in order,
-/// finishing with one group commit and a rotation check. This is the single
-/// sequencing point at which the database's version stamp moves, which is
-/// what makes the fit-once/classify-many read path (serve_batch, the
-/// serving front end's coalesced batches) safe: writes happen only here,
-/// between batches, never while sessions execute.
+/// finishing with one group commit and a rotation check.
 void ingest_experience(HistoryDatabase& db, ExperienceStore* store,
                        std::vector<ExperienceRecord> records);
+
+/// The batch executor under both serving front ends (serve_batch and
+/// net::TuningService). For items 0 .. queries.size()-1 it
+///   1. fits `analyzer` once against `db` as the batch finds it;
+///   2. classifies every item's query (its workload signature; nullptr
+///      for none) in one DataAnalyzer::retrieve_batch call;
+///   3. runs step(i, retrieval_i) for every item on the global thread pool;
+///   4. ingests the records the steps return, in item order, as one group
+///      commit, and returns how many.
+/// The database moves only between batches: steps read it and share no
+/// other mutable state, so results are bit-identical at every thread count.
+std::size_t execute_batch(
+    HistoryDatabase& db, ExperienceStore* store, const DataAnalyzer& analyzer,
+    std::span<const WorkloadSignature* const> queries,
+    const std::function<std::optional<ExperienceRecord>(
+        std::size_t, const DataAnalyzer::Retrieval&)>& step);
+
+/// In-process host for one protocol session: every request runs as an
+/// execute_batch of one against `db` (as HarmonyServer::tune is a
+/// serve_batch of one). All three must outlive the returned transport.
+[[nodiscard]] proto::Transport host_session(proto::ServerSession& session,
+                                            HistoryDatabase& db,
+                                            const DataAnalyzer& analyzer);
 
 struct ServerOptions {
   TuningOptions tuning;
@@ -109,18 +130,14 @@ class HarmonyServer {
                                         const WorkloadSignature& signature,
                                         const std::string& label);
 
-  /// Serves N workloads concurrently across the global thread pool
-  /// (HARMONY_THREADS; 1 runs the exact serial loop inline). Every request
+  /// Serves N workloads concurrently as one execute_batch: every request
   /// retrieves its warm-start experience against the database as it stood
-  /// at entry — the whole batch is classified up front in one
-  /// DataAnalyzer::retrieve_batch call, before any session starts — and
-  /// the finished runs are stored back in request order only after all of
-  /// them completed. Results are bit-identical at every thread count:
-  /// requests share no mutable state while running, so placement changes
-  /// wall-clock time, never values. A request whose signature the analyzer
-  /// rejects (non-finite value, arity the history does not share) comes
-  /// back failed with the reason and runs no session. Entries with a null
-  /// objective throw.
+  /// at entry, runs one TuningSession on the pool, and the finished runs
+  /// are stored back in request order only after all of them completed.
+  /// Results are bit-identical at every thread count. A request whose
+  /// signature the analyzer rejects (non-finite value, arity the history
+  /// does not share) comes back failed with the reason and runs no
+  /// session. Entries with a null objective throw.
   [[nodiscard]] std::vector<ServedTuningResult> serve_batch(
       std::span<const ServeRequest> requests);
 

@@ -7,11 +7,8 @@
 
 namespace harmony::net {
 
-Connection::Connection(Fd fd, proto::SessionOptions options,
-                       HistoryDatabase* database, StreamDecoder::Mode mode)
-    : fd_(std::move(fd)),
-      decoder_(mode),
-      session_(std::move(options), database) {}
+Connection::Connection(Fd fd, proto::SessionOptions options)
+    : fd_(std::move(fd)), session_(std::move(options)) {}
 
 bool Connection::on_input(const std::uint8_t* data, std::size_t n) {
   if (wants_close_) return true;  // draining; late bytes are ignored
@@ -72,7 +69,7 @@ void Connection::reject_pending(const std::string& what) {
   pending_ = PendingKind::kNone;
 }
 
-void Connection::execute_pending() {
+void Connection::execute_pending(const proto::HostInput& host) {
   switch (pending_) {
     case PendingKind::kNone:
       return;
@@ -83,8 +80,10 @@ void Connection::execute_pending() {
           append_config_frame(out_, *step.config);
           break;
         case proto::ServerSession::FetchStep::Kind::kDone:
-          append_done_frame(out_, *step.result, step.full_refits,
-                            step.incremental_refits, *step.strategy);
+          append_done_frame(out_, *step.result,
+                            static_cast<std::uint32_t>(host.refits.full),
+                            static_cast<std::uint32_t>(host.refits.incremental),
+                            *step.strategy);
           break;
         case proto::ServerSession::FetchStep::Kind::kError:
           queue_reply(proto::error(step.error));
@@ -102,7 +101,7 @@ void Connection::execute_pending() {
       break;
     }
     case PendingKind::kMessage: {
-      const proto::Message reply = session_.handle(pending_msg_);
+      const proto::Message reply = session_.handle(pending_msg_, host);
       queue_reply(reply);
       if (pending_msg_.is("BYE") && reply.is("OK")) wants_close_ = true;
       break;

@@ -7,13 +7,12 @@
 // connections in parallel on the thread pool — and flushes the reply
 // buffers back on the loop thread.
 //
-// Execution discipline: execute_pending() touches only this connection's
-// state plus shared *read-only* structures (the history database and a
-// pre-fitted shared analyzer), so distinct connections execute
-// concurrently without locks. All writes to shared state (experience
-// ingest) are deferred: the session parks its finished record and the
-// dispatcher collects it after the batch (ServerSession's
-// defer_experience / take_pending_experience).
+// Execution discipline: each pending request is one item of the service's
+// batch executor (execute_batch, core/server.hpp), which classifies the
+// batch's pending SIGNATUREs up front and ingests the finished sessions'
+// take_pending_experience() after every item ran. execute_pending() gets
+// its item's classification and touches only this connection, so distinct
+// connections execute concurrently without locks.
 //
 // Error model, matching the fuzz guarantee "ERROR or close, never crash":
 //  * protocol-level problems (bad verb, arity, FETCH-before-BUNDLES, step
@@ -37,9 +36,7 @@ class Connection {
  public:
   /// `fd` may be invalid for in-memory use (tests, benchmarks): the
   /// decoder/session/reply machinery works on buffers alone.
-  Connection(Fd fd, proto::SessionOptions options,
-             HistoryDatabase* database = nullptr,
-             StreamDecoder::Mode mode = StreamDecoder::Mode::kDetect);
+  Connection(Fd fd, proto::SessionOptions options);
 
   [[nodiscard]] int fd() const noexcept { return fd_.get(); }
 
@@ -65,10 +62,10 @@ class Connection {
   void reject_pending(const std::string& what);
 
   /// Executes the pending request against the session and queues the
-  /// reply. Safe to call concurrently with *other* connections'
-  /// execute_pending(); requires the shared analyzer (if any) to be
-  /// fitted first.
-  void execute_pending();
+  /// reply; `host` carries the request's signature_query() and its
+  /// classification. Safe to call concurrently with *other*
+  /// connections' execute_pending().
+  void execute_pending(const proto::HostInput& host = {});
 
   [[nodiscard]] proto::ServerSession& session() noexcept { return session_; }
   /// Connection should be closed once its reply bytes have drained.

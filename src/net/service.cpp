@@ -10,11 +10,11 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 
 #include "core/server.hpp"
 #include "net/conn.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace harmony::net {
 
@@ -25,9 +25,6 @@ using Clock = std::chrono::steady_clock;
 struct TuningService::Slot {
   Connection conn;
   bool epollout = false;
-
-  Slot(Fd fd, proto::SessionOptions options, HistoryDatabase* db)
-      : conn(std::move(fd), std::move(options), db) {}
 };
 
 TuningService::TuningService(HistoryDatabase& db, DataAnalyzer& analyzer,
@@ -144,10 +141,8 @@ void TuningService::accept_ready() {
     }
     const int one = 1;
     (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    proto::SessionOptions so = opts_.session;
-    so.defer_experience = true;
-    so.shared_analyzer = &analyzer_;
-    auto slot = std::make_unique<Slot>(Fd(fd), std::move(so), &db_);
+    auto slot =
+        std::make_unique<Slot>(Connection(Fd(fd), opts_.session), false);
     loop_.add(fd, EPOLLIN, slot.get());
     conns_.push_back(std::move(slot));
     ++stats_.accepted;
@@ -212,28 +207,29 @@ void TuningService::dispatch_batch(const std::vector<Slot*>& batch) {
   }
   if (!exec.empty()) {
     stats_.steps += exec.size();
-    // One classifier fit for the whole batch; retrievals inside
-    // execute_pending() are then pure reads. Steady-state ingest extends
-    // the database's append chain, so this is usually an O(batch)
-    // incremental update, not an O(db) rebuild — the stats record which.
-    analyzer_.ensure_fitted(db_);
+    // Each pending step is one item of the batch executor; a pending
+    // SIGNATURE brings its workload as the item's query.
+    std::vector<std::optional<WorkloadSignature>> parsed(exec.size());
+    std::vector<const WorkloadSignature*> queries(exec.size(), nullptr);
+    for (std::size_t i = 0; i < exec.size(); ++i) {
+      Connection& c = exec[i]->conn;
+      if (const proto::Message* m = c.pending_message()) {
+        parsed[i] = c.session().signature_query(*m);
+        if (parsed[i]) queries[i] = &*parsed[i];
+      }
+    }
+    stats_.records_ingested += execute_batch(
+        db_, store_, analyzer_, queries,
+        [&](std::size_t i, const DataAnalyzer::Retrieval& found) {
+          Connection& c = exec[i]->conn;
+          c.execute_pending({queries[i], found, analyzer_.refit_stats()});
+          return c.session().take_pending_experience();
+        });
+    // The executor's one fit per batch is usually an O(batch) incremental
+    // update, not an O(db) rebuild — the stats record which.
     const auto& rs = analyzer_.refit_stats();
     stats_.full_refits = rs.full;
     stats_.incremental_refits = rs.incremental;
-    parallel_for(exec.size(),
-                 [&](std::size_t i) { exec[i]->conn.execute_pending(); });
-    // All shared-state writes happen here, after the barrier, as one group
-    // commit — one database version bump per batch, not per session.
-    std::vector<ExperienceRecord> records;
-    for (Slot* s : exec) {
-      if (auto r = s->conn.session().take_pending_experience()) {
-        records.push_back(std::move(*r));
-      }
-    }
-    if (!records.empty()) {
-      stats_.records_ingested += records.size();
-      ingest_experience(db_, store_, std::move(records));
-    }
   }
 
   // Reply, pick up pipelined bytes, and close what finished. flush_output

@@ -6,13 +6,11 @@
 // window and drives them as one batch —
 //
 //   1. admission (pending HELLOs checked against per-tenant budgets),
-//   2. one analyzer ensure_fitted() for the whole batch (the expensive
-//      classifier refit is paid once, not once per step),
-//   3. parallel_for over the connections' execute_pending() — pure reads
-//      of the shared database, each connection touching only itself,
-//   4. one ingest_experience() group commit for every session that
-//      finished in the batch (single database version bump, single store
-//      commit).
+//   2. one execute_batch (core/server.hpp, which serve_batch runs too) with
+//      one item per pending step: one classifier fit, one retrieve_batch
+//      over the pending SIGNATUREs, execute_pending() on the pool, and one
+//      group commit for every session that finished in the batch,
+//   3. the reply flush.
 //
 // The window fires adaptively: as soon as every open connection has a
 // pending step (nothing left to wait for), when max_batch_steps is
@@ -53,8 +51,7 @@ struct ServiceOptions {
   std::string address = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral; read back via port()
   int backlog = 128;
-  /// Template for per-connection sessions. The service forces
-  /// defer_experience and shared_analyzer regardless of what is set here.
+  /// Template for per-connection sessions.
   proto::SessionOptions session;
   /// Admission: maximum concurrently open connections; beyond it the
   /// listener is parked (deferred accept).

@@ -1,7 +1,6 @@
 #include "net/socket.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -78,12 +77,6 @@ Fd connect_tcp(const std::string& host, std::uint16_t port) {
   const int one = 1;
   (void)::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
   return fd;
-}
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  HARMONY_REQUIRE(flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
-                  "fcntl O_NONBLOCK");
 }
 
 void parse_host_port(const std::string& spec, std::string& host,

@@ -1,6 +1,6 @@
 // Thin RAII layer over BSD sockets for the serving front end: a move-only
-// descriptor owner plus the three operations the service and its clients
-// need (nonblocking listener, blocking connect, nonblocking toggle). IPv4
+// descriptor owner plus the operations the service and its clients need
+// (nonblocking listener, blocking connect, host:port parsing). IPv4
 // only — the deployment story is loopback/LAN serving, not dual-stack edge
 // termination.
 #pragma once
@@ -44,8 +44,6 @@ class Fd {
 /// Blocking connect to host:port with TCP_NODELAY set (the protocol is
 /// strict request/response — Nagle would serialize it against delayed ACK).
 [[nodiscard]] Fd connect_tcp(const std::string& host, std::uint16_t port);
-
-void set_nonblocking(int fd);
 
 /// Splits "host:port"; throws harmony::Error on a malformed spec.
 void parse_host_port(const std::string& spec, std::string& host,

@@ -145,9 +145,9 @@ TEST(DecisionTreeClassifier, HandlesDegenerateData) {
 TEST(DecisionTreeClassifier, WorksAsAnalyzerPlugin) {
   const HistoryDatabase db = sample_db();
   DataAnalyzer analyzer(std::make_shared<DecisionTreeClassifier>());
-  const ExperienceRecord* rec = analyzer.retrieve(db, {0.78, 0.22});
-  ASSERT_NE(rec, nullptr);
-  EXPECT_EQ(rec->label, "shopping mix");
+  const auto idx = analyzer.classify(db, {0.78, 0.22});
+  ASSERT_TRUE(idx.has_value());
+  EXPECT_EQ(db.record(*idx).label, "shopping mix");
 }
 
 TEST(DataAnalyzer, CharacterizeAveragesSamples) {
@@ -168,16 +168,22 @@ TEST(DataAnalyzer, CharacterizeAveragesSamples) {
 TEST(DataAnalyzer, RetrievesClosestExperience) {
   const HistoryDatabase db = sample_db();
   DataAnalyzer analyzer;
-  const ExperienceRecord* rec = analyzer.retrieve(db, {0.78, 0.22});
-  ASSERT_NE(rec, nullptr);
-  EXPECT_EQ(rec->label, "shopping mix");
+  const WorkloadSignature query = {0.78, 0.22};
+  const WorkloadSignature* const queries[] = {&query};
+  const auto found = analyzer.retrieve_batch(db, queries);
+  ASSERT_NE(found[0].record, nullptr);
+  EXPECT_EQ(found[0].record->label, "shopping mix");
   EXPECT_EQ(analyzer.classify(db, {0.52, 0.48}).value(), 1u);
 }
 
 TEST(DataAnalyzer, EmptyDatabaseMeansNoExperience) {
   HistoryDatabase db;
   DataAnalyzer analyzer;
-  EXPECT_EQ(analyzer.retrieve(db, {0.5}), nullptr);
+  const WorkloadSignature query = {0.5};
+  const WorkloadSignature* const queries[] = {&query};
+  const auto found = analyzer.retrieve_batch(db, queries);
+  EXPECT_EQ(found[0].record, nullptr);
+  EXPECT_TRUE(found[0].error.empty());
   EXPECT_FALSE(analyzer.classify(db, {0.5}).has_value());
 }
 

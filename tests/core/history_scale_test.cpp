@@ -652,7 +652,10 @@ TEST_P(AnalyzerQueries, NonFiniteSignaturesAreRejected) {
   for (const WorkloadSignature& bad : std::vector<WorkloadSignature>{
            {nan, 0.0}, {0.0, inf}, {-inf, 1.0}}) {
     EXPECT_THROW((void)analyzer.classify(db, bad), Error);
-    EXPECT_THROW((void)analyzer.retrieve(db, bad), Error);
+    const WorkloadSignature* const queries[] = {&bad};
+    const auto found = analyzer.retrieve_batch(db, queries);
+    EXPECT_EQ(found[0].record, nullptr);
+    EXPECT_NE(found[0].error.find("non-finite"), std::string::npos);
     // Rejected even against an empty history: such a signature must not
     // be stored as experience either.
     EXPECT_THROW((void)analyzer.classify(HistoryDatabase{}, bad), Error);
@@ -673,8 +676,8 @@ TEST_P(AnalyzerQueries, RetrieveBatchIsolatesRejectedQueries) {
     set_thread_count(threads);
     const auto got = analyzer.retrieve_batch(db, ptrs);
     ASSERT_EQ(got.size(), queries.size());
-    EXPECT_EQ(got[0].record, analyzer.retrieve(db, queries[0]));
-    EXPECT_EQ(got[3].record, analyzer.retrieve(db, queries[3]));
+    EXPECT_EQ(got[0].record, &db.record(*analyzer.classify(db, queries[0])));
+    EXPECT_EQ(got[3].record, &db.record(*analyzer.classify(db, queries[3])));
     EXPECT_TRUE(got[0].error.empty());
     EXPECT_TRUE(got[3].error.empty());
     EXPECT_EQ(got[1].record, nullptr);

@@ -515,8 +515,10 @@ TEST(SharedSessionClassifier, SequentialSessionsFitOnceAndAbsorbAppends) {
   HistoryDatabase db;
   append_records(db, rng, 2, 8);
 
+  // Sequential sessions through the in-process host over one analyzer.
+  const auto classifier = std::make_shared<LeastSquareClassifier>();
+  const DataAnalyzer analyzer(classifier);
   proto::SessionOptions so;
-  so.classifier = std::make_shared<LeastSquareClassifier>();
   so.record_experience = false;  // keep the database stable across sessions
   so.tuning.simplex.max_evaluations = 6;
   const std::string rsl =
@@ -524,9 +526,8 @@ TEST(SharedSessionClassifier, SequentialSessionsFitOnceAndAbsorbAppends) {
       "{ harmonyBundle p1 { int {0 20 1 0} } }";
 
   auto run_session = [&]() {
-    proto::ServerSession session(so, &db);
-    proto::HarmonyClient client(
-        [&session](const proto::Message& m) { return session.handle(m); });
+    proto::ServerSession session(so);
+    proto::HarmonyClient client(host_session(session, db, analyzer));
     client.open("t", rsl);
     (void)client.send_signature(db.record(0).signature);
     while (const auto config = client.fetch()) {
@@ -540,13 +541,12 @@ TEST(SharedSessionClassifier, SequentialSessionsFitOnceAndAbsorbAppends) {
   };
 
   // Two sessions against an unchanged database: the shared classifier is
-  // fitted exactly once — the second session's retrieval is a version-check
-  // no-op, not a second rebuild (the double-refit this option exists to
-  // kill).
+  // fitted exactly once — every later request's fit is a version-check
+  // no-op, not a rebuild per session.
   (void)run_session();
   const auto [full2, incr2] = run_session();
-  EXPECT_EQ(so.classifier->refit_stats().full, 1u);
-  EXPECT_EQ(so.classifier->refit_stats().incremental, 0u);
+  EXPECT_EQ(classifier->refit_stats().full, 1u);
+  EXPECT_EQ(classifier->refit_stats().incremental, 0u);
   // The DONE extension surfaced the counters to the client.
   EXPECT_EQ(full2, 1u);
   EXPECT_EQ(incr2, 0u);
@@ -554,8 +554,8 @@ TEST(SharedSessionClassifier, SequentialSessionsFitOnceAndAbsorbAppends) {
   // An append between sessions is absorbed as a delta, not a rebuild.
   db.add(make_record(rng, 2, db.size()));
   const auto [full3, incr3] = run_session();
-  EXPECT_EQ(so.classifier->refit_stats().full, 1u);
-  EXPECT_EQ(so.classifier->refit_stats().incremental, 1u);
+  EXPECT_EQ(classifier->refit_stats().full, 1u);
+  EXPECT_EQ(classifier->refit_stats().incremental, 1u);
   EXPECT_EQ(full3, 1u);
   EXPECT_EQ(incr3, 1u);
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/rsl.hpp"
+#include "core/server.hpp"
 #include "util/error.hpp"
 
 namespace harmony::proto {
@@ -123,50 +124,121 @@ TEST(ServerSession, SignatureMustPrecedeFetch) {
 
 TEST(ServerSession, ExperienceIsStoredAndRetrieved) {
   HistoryDatabase db;
+  const DataAnalyzer analyzer;
   SessionOptions opts;
   opts.tuning.simplex.max_evaluations = 120;
 
   // First client tunes cold and stores experience under its signature.
   {
-    ServerSession s1(opts, &db);
-    (void)s1.handle({"HELLO", {"day1"}});
-    (void)s1.handle({"BUNDLES", {kRsl}});
-    const Message sig = s1.handle({"SIGNATURE", {"2", "0.8", "0.2"}});
+    ServerSession session(opts);
+    const Transport s1 = host_session(session, db, analyzer);
+    (void)s1({"HELLO", {"day1"}});
+    (void)s1({"BUNDLES", {kRsl}});
+    const Message sig = s1({"SIGNATURE", {"2", "0.8", "0.2"}});
     EXPECT_EQ(sig.verb, "OK");
     EXPECT_TRUE(sig.args.empty());  // no experience yet
     while (true) {
-      const Message r = s1.handle({"FETCH", {}});
+      const Message r = s1({"FETCH", {}});
       if (r.is("DONE")) break;
       Configuration c = {std::stod(r.args[1]), std::stod(r.args[2])};
-      (void)s1.handle({"REPORT", {std::to_string(measure(c))}});
+      (void)s1({"REPORT", {std::to_string(measure(c))}});
     }
   }
   ASSERT_EQ(db.size(), 1u);
   EXPECT_EQ(db.record(0).label, "day1");
 
   // Second client with a nearby signature gets a warm start.
-  ServerSession s2(opts, &db);
-  (void)s2.handle({"HELLO", {"day2"}});
-  (void)s2.handle({"BUNDLES", {kRsl}});
-  const Message sig = s2.handle({"SIGNATURE", {"2", "0.78", "0.22"}});
+  ServerSession session(opts);
+  const Transport s2 = host_session(session, db, analyzer);
+  (void)s2({"HELLO", {"day2"}});
+  (void)s2({"BUNDLES", {kRsl}});
+  const Message sig = s2({"SIGNATURE", {"2", "0.78", "0.22"}});
   ASSERT_EQ(sig.args.size(), 2u);
   EXPECT_EQ(sig.args[0], "experience");
   EXPECT_EQ(sig.args[1], "day1");
   // With recorded values the first FETCH already reflects training: the
   // proposed configuration must be near the optimum region.
-  const Message r = s2.handle({"FETCH", {}});
+  const Message r = s2({"FETCH", {}});
   ASSERT_EQ(r.verb, "CONFIG");
   Configuration c = {std::stod(r.args[1]), std::stod(r.args[2])};
   EXPECT_GE(measure(c), -60.0);  // far better than corner configs (-200+)
 }
 
+/// Tunes one session to DONE and says BYE through `transport`; `signature`
+/// (when non-empty) is sent first and its reply returned.
+Message tune_through(const Transport& transport, const std::string& name,
+                     const std::vector<std::string>& signature) {
+  EXPECT_EQ(transport({"HELLO", {name}}).verb, "OK");
+  EXPECT_EQ(transport({"BUNDLES", {kRsl}}).verb, "OK");
+  Message sig_reply = ok();
+  if (!signature.empty()) sig_reply = transport({"SIGNATURE", signature});
+  for (int guard = 0; guard < 500; ++guard) {
+    const Message r = transport({"FETCH", {}});
+    if (r.is("DONE")) break;
+    EXPECT_EQ(r.verb, "CONFIG");
+    const Configuration c = {std::stod(r.args[1]), std::stod(r.args[2])};
+    EXPECT_EQ(transport({"REPORT", {std::to_string(measure(c))}}).verb, "OK");
+  }
+  EXPECT_EQ(transport({"BYE", {}}).verb, "OK");
+  return sig_reply;
+}
+
+TEST(ServerSession, OnlyRunsUnderAnAcceptedSignatureAreStored) {
+  // A run is stored under its session's accepted signature or not at all.
+  // Stored under an empty or rejected signature, it would make the history
+  // mix arities, and every later SIGNATURE would be refused.
+  HistoryDatabase db;
+  const DataAnalyzer analyzer;
+  SessionOptions opts;
+  opts.tuning.simplex.max_evaluations = 25;
+  auto run = [&](const std::string& name,
+                 const std::vector<std::string>& signature) {
+    ServerSession session(opts);
+    return tune_through(host_session(session, db, analyzer), name, signature);
+  };
+
+  EXPECT_EQ(run("first", {"2", "0.8", "0.2"}).verb, "OK");
+  ASSERT_EQ(db.size(), 1u);
+
+  EXPECT_EQ(run("unsigned", {}).verb, "OK");
+  const Message rejected = run("wrong-arity", {"3", "0.8", "0.2", "0.1"});
+  ASSERT_EQ(rejected.verb, "ERROR");
+  EXPECT_EQ(rejected.args[0], "signature arity mismatch");
+  EXPECT_EQ(db.size(), 1u);
+
+  // A rejected SIGNATURE keeps the session's previous one.
+  {
+    ServerSession session(opts);
+    const Transport t = host_session(session, db, analyzer);
+    (void)t({"HELLO", {"resent"}});
+    (void)t({"BUNDLES", {kRsl}});
+    EXPECT_EQ(t({"SIGNATURE", {"2", "0.7", "0.3"}}).args.size(), 2u);
+    EXPECT_EQ(t({"SIGNATURE", {"1", "0.7"}}).verb, "ERROR");
+    for (int guard = 0; guard < 500; ++guard) {
+      const Message r = t({"FETCH", {}});
+      if (r.is("DONE")) break;
+      const Configuration c = {std::stod(r.args[1]), std::stod(r.args[2])};
+      (void)t({"REPORT", {std::to_string(measure(c))}});
+    }
+  }
+  ASSERT_EQ(db.size(), 2u);
+  EXPECT_EQ(db.record(1).label, "resent");
+  EXPECT_EQ(db.record(1).signature, (WorkloadSignature{0.7, 0.3}));
+
+  // The history still classifies: a later session warm-starts.
+  const Message warm = run("later", {"2", "0.78", "0.22"});
+  ASSERT_EQ(warm.args.size(), 2u);
+  EXPECT_EQ(warm.args[0], "experience");
+  EXPECT_EQ(db.size(), 3u);
+}
+
 TEST(HarmonyClient, EndToEndOverLoopback) {
   HistoryDatabase db;
+  const DataAnalyzer analyzer;
   SessionOptions opts;
   opts.tuning.simplex.max_evaluations = 150;
-  ServerSession session(opts, &db);
-  HarmonyClient client(
-      [&](const Message& m) { return session.handle(m); });
+  ServerSession session(opts);
+  HarmonyClient client(host_session(session, db, analyzer));
 
   client.open("loopback-app", kRsl);
   EXPECT_FALSE(client.send_signature({0.5, 0.5}).has_value());

@@ -5,13 +5,17 @@
 // check the frontier's structural invariants against hand-computed
 // candidates, audit the speculation accounting, pin serve_batch's
 // thread-count determinism and write ordering, and pin a warm-started
-// session served over the protocol to the in-process one, for every kernel.
+// session served over the protocol — in process and by a live service in
+// both wire framings — to the in-process one, for every kernel.
 #include <algorithm>
+#include <barrier>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +28,8 @@
 #include "core/simplex.hpp"
 #include "core/strategies.hpp"
 #include "core/tuner.hpp"
+#include "net/client.hpp"
+#include "net/service.hpp"
 #include "synth/ecommerce.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -473,17 +479,21 @@ SessionOutcome serve_in_process(HarmonyServer& server,
           r.tuning.stop_reason, r.experience_label.value_or("<cold>")};
 }
 
-SessionOutcome serve_over_protocol(HistoryDatabase& db,
-                                   const ServerOptions& sopts,
-                                   const WorkloadSignature& sig) {
+proto::SessionOptions parity_session_options(const ServerOptions& sopts) {
   proto::SessionOptions opts;
   opts.tuning = sopts.tuning;
   opts.use_recorded_values = sopts.use_recorded_values;
   opts.record_experience = false;
-  proto::ServerSession session(opts, &db);
-  proto::HarmonyClient client(
-      [&session](const proto::Message& m) { return session.handle(m); });
-  client.open("parity", kParityRsl, sopts.tuning.search.kernel);
+  return opts;
+}
+
+/// One parity session driven through `transport`: HELLO naming `kernel`,
+/// BUNDLES, SIGNATURE, then FETCH/REPORT until DONE, and BYE.
+SessionOutcome run_parity_client(const proto::Transport& transport,
+                                 const std::string& kernel,
+                                 const WorkloadSignature& sig) {
+  proto::HarmonyClient client(transport);
+  client.open("parity", kParityRsl, kernel);
   const std::optional<std::string> label = client.send_signature(sig);
   std::vector<Measurement> trace;
   while (const std::optional<Configuration> c = client.fetch()) {
@@ -495,6 +505,76 @@ SessionOutcome serve_over_protocol(HistoryDatabase& db,
   return {trace_hex(trace), client.best_configuration(),
           client.best_performance(), client.evaluations(),
           client.stop_reason(), label.value_or("<cold>")};
+}
+
+SessionOutcome serve_over_protocol(HistoryDatabase& db,
+                                   const ServerOptions& sopts,
+                                   const WorkloadSignature& sig) {
+  proto::ServerSession session(parity_session_options(sopts));
+  const DataAnalyzer analyzer;
+  return run_parity_client(host_session(session, db, analyzer),
+                           sopts.tuning.search.kernel, sig);
+}
+
+/// One wire client of serve_over_service.
+struct WireClient {
+  WorkloadSignature signature;
+  bool binary = false;
+  SessionOutcome outcome;
+  std::size_t requests = 0;
+  std::string error;
+};
+
+/// Serves every client's session at once from a live net::TuningService
+/// over loopback. The clients connect, meet at a barrier, then run in lock
+/// step: the coalescing window is far longer than the test, so a batch
+/// fires only once every open connection has a request pending, and batch
+/// k holds request k of every client still open — all the SIGNATUREs are
+/// classified in one coalesced batch. Returns the service's batch count.
+std::uint64_t serve_over_service(HistoryDatabase& db,
+                                 const ServerOptions& sopts,
+                                 std::vector<WireClient>& clients) {
+  DataAnalyzer analyzer;
+  net::ServiceOptions so;
+  so.session = parity_session_options(sopts);
+  so.coalesce_window_us = 30'000'000;
+  net::TuningService service(db, analyzer, nullptr, so);
+  std::thread loop([&service] { service.run(); });
+  std::barrier connected(static_cast<std::ptrdiff_t>(clients.size()));
+  std::vector<std::thread> threads;
+  for (WireClient& wc : clients) {
+    threads.emplace_back([&] {
+      bool arrived = false;
+      try {
+        net::SocketTransport socket("127.0.0.1", service.port(), wc.binary);
+        arrived = true;
+        connected.arrive_and_wait();
+        wc.outcome = run_parity_client(
+            [&](const proto::Message& m) {
+              ++wc.requests;
+              return socket(m);
+            },
+            sopts.tuning.search.kernel, wc.signature);
+      } catch (const std::exception& e) {
+        if (!arrived) connected.arrive_and_drop();
+        wc.error = e.what();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  service.stop();
+  loop.join();
+  return service.stats().batches;
+}
+
+void expect_same_session(const SessionOutcome& got,
+                         const SessionOutcome& want) {
+  EXPECT_EQ(got.experience, want.experience);
+  EXPECT_EQ(got.trace, want.trace);
+  EXPECT_EQ(got.best, want.best);
+  EXPECT_EQ(got.best_performance, want.best_performance);
+  EXPECT_EQ(got.evaluations, want.evaluations);
+  EXPECT_EQ(got.stop_reason, want.stop_reason);
 }
 
 TEST_F(SpeculationTest, ServedWarmStartMatchesInProcessForEveryKernel) {
@@ -522,13 +602,31 @@ TEST_F(SpeculationTest, ServedWarmStartMatchesInProcessForEveryKernel) {
           const SessionOutcome wire =
               serve_over_protocol(server.database(), sopts, sig);
           EXPECT_EQ(local.experience, want);
-          EXPECT_EQ(wire.experience, want);
-          EXPECT_EQ(wire.trace, local.trace);
-          EXPECT_EQ(wire.best, local.best);
-          EXPECT_EQ(wire.best_performance, local.best_performance);
-          EXPECT_EQ(wire.evaluations, local.evaluations);
-          EXPECT_EQ(wire.stop_reason, local.stop_reason);
+          expect_same_session(wire, local);
         }
+
+        // The live service: one client per signature and framing, all
+        // SIGNATUREs in one coalesced batch.
+        std::vector<WireClient> clients;
+        for (const bool binary : {false, true}) {
+          for (const WorkloadSignature& sig : {kOnGrid, kOffGrid}) {
+            clients.push_back({sig, binary, {}, 0, {}});
+          }
+        }
+        const std::uint64_t batches =
+            serve_over_service(server.database(), sopts, clients);
+        std::size_t longest = 0;
+        for (const WireClient& wc : clients) {
+          SCOPED_TRACE(testing::Message()
+                       << kernel << " recorded=" << recorded << " threads="
+                       << threads << " served binary=" << wc.binary << " "
+                       << wc.outcome.experience);
+          ASSERT_EQ(wc.error, "");
+          expect_same_session(wc.outcome,
+                              serve_in_process(server, wc.signature));
+          longest = std::max(longest, wc.requests);
+        }
+        EXPECT_EQ(batches, longest);  // the clients never fell out of step
       }
     }
   }

@@ -87,11 +87,11 @@ TEST(Integration, ProtocolSessionTunesTheSimulatedCluster) {
   websim::ClusterObjective system(sim);
 
   HistoryDatabase db;
+  const DataAnalyzer analyzer;
   proto::SessionOptions popts;
   popts.tuning.simplex.max_evaluations = 40;
-  proto::ServerSession session(popts, &db);
-  proto::HarmonyClient client(
-      [&](const proto::Message& m) { return session.handle(m); });
+  proto::ServerSession session(popts);
+  proto::HarmonyClient client(host_session(session, db, analyzer));
 
   client.open("cluster",
               to_rsl(websim::ClusterConfig::parameter_space()));

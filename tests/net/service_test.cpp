@@ -172,6 +172,59 @@ TEST(TuningService, DrainFinishesInFlightStepsAndExitsCleanly) {
   EXPECT_GE(s.accepted, 2u);
 }
 
+/// Tunes one session to DONE; `signature`, when non-empty, is sent first,
+/// and the server's rejection of it is returned (empty when accepted).
+std::string run_signed_session(std::uint16_t port, bool binary,
+                               const std::string& label,
+                               const WorkloadSignature& signature) {
+  SocketTransport transport("127.0.0.1", port, binary);
+  proto::HarmonyClient client(
+      [&transport](const proto::Message& m) { return transport(m); });
+  client.open(label, kRsl);
+  std::string rejection;
+  if (!signature.empty()) {
+    try {
+      (void)client.send_signature(signature);
+    } catch (const Error& e) {
+      rejection = e.what();
+    }
+  }
+  while (const std::optional<Configuration> config = client.fetch()) {
+    client.report(measure(*config));
+  }
+  client.close();
+  return rejection;
+}
+
+TEST(TuningService, OnlyRunsUnderAnAcceptedSignatureAreStored) {
+  // A client that never sends SIGNATURE, or whose SIGNATURE the history
+  // rejects, still tunes to DONE but stores nothing: ingested under an
+  // empty or wrong-arity signature, its run would make the history mix
+  // arities, and the server would refuse every later SIGNATURE.
+  ServiceOptions opts;
+  opts.session.tuning.simplex.max_evaluations = 20;
+  ServiceFixture fixture(opts);
+  const std::uint16_t port = fixture.port();
+
+  EXPECT_EQ(run_signed_session(port, false, "first", {0.0}), "");
+  for (const bool binary : {false, true}) {
+    SCOPED_TRACE(binary ? "binary" : "text");
+    EXPECT_EQ(run_signed_session(port, binary, "unsigned", {}), "");
+    EXPECT_EQ(run_signed_session(port, binary, "wrong-arity", {0.5, 0.5}),
+              "server error: signature arity mismatch");
+    EXPECT_EQ(run_signed_session(port, binary, "later", {0.25}), "");
+  }
+  fixture.stop();
+
+  ASSERT_EQ(fixture.db().size(), 3u);
+  EXPECT_EQ(fixture.db().record(1).label, "later");
+  EXPECT_EQ(fixture.db().record(2).label, "later");
+  for (std::size_t i = 0; i < fixture.db().size(); ++i) {
+    EXPECT_EQ(fixture.db().record(i).signature.size(), 1u);
+  }
+  EXPECT_EQ(fixture.service().stats().records_ingested, 3u);
+}
+
 TEST(TuningService, StatsCountBatchesAndSteps) {
   ServiceOptions opts;
   opts.session.tuning.simplex.max_evaluations = 20;

@@ -258,6 +258,20 @@ stop_daemon
 start_daemon --budget 40 --quiet
 svcold=$("$TUNE" --rsl "$DIR/params.rsl" --quiet \
          --connect "127.0.0.1:$PORT" -- "$DIR/app.sh")
+# A client whose --signature has an arity the daemon's history does not
+# share gets the ERROR and exits non-zero. Its session stores nothing, so
+# the warm run below still sees only the cold run's record.
+set +e
+"$TUNE" --rsl "$DIR/params.rsl" --quiet --signature 0.5,0.5 \
+    --connect "127.0.0.1:$PORT" -- "$DIR/app.sh" > /dev/null \
+    2> "$DIR/arity.err"
+arity_status=$?
+set -e
+[ "$arity_status" -ne 0 ] || {
+  echo "FAIL: wrong-arity --signature should fail the client"; exit 1; }
+grep -q "server error: signature arity mismatch$" "$DIR/arity.err" || {
+  echo "FAIL: wrong-arity rejection not reported"; cat "$DIR/arity.err"
+  exit 1; }
 svwarm=$("$TUNE" --rsl "$DIR/params.rsl" \
          --connect "127.0.0.1:$PORT" -- "$DIR/app.sh" 2> "$DIR/warm.err")
 echo "served warm: $svwarm"
