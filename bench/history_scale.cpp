@@ -8,9 +8,10 @@
 //   estimator sections. Generates a clustered synthetic experience
 //   database, then measures the classify hot path for all three
 //   classifiers two ways:
-//     legacy  — the pre-index cost model: every classify() copies the full
+//     legacy  — the per-call cost model: least-square copies the full
 //               signature set out of the database (vector-of-vectors) and
-//               rebuilds the classifier's model from scratch.
+//               scans it per query; k-means and the tree fit a fresh
+//               classifier over the flat store per query.
 //     fitted  — the build-once/query-many path: fit(SignatureView) once
 //               over the flat store, then classify() per query.
 //
@@ -85,7 +86,12 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 /// before the flat store existed.
 std::size_t legacy_copy_classify(const HistoryDatabase& db,
                                  const WorkloadSignature& obs) {
-  const std::vector<WorkloadSignature> known = db.signatures();
+  const SignatureView view = db.signature_view();
+  std::vector<WorkloadSignature> known;
+  known.reserve(view.count);
+  for (std::size_t i = 0; i < view.count; ++i) {
+    known.emplace_back(view.row(i), view.row(i) + view.arity(i));
+  }
   std::size_t best = 0;
   double best_d = std::numeric_limits<double>::infinity();
   for (std::size_t j = 0; j < known.size(); ++j) {
@@ -437,9 +443,9 @@ int main(int argc, char** argv) {
   // ---- k-means: per-call rebuild vs fit-once ----------------------------
   {
     KMeansClassifier legacy(16, 7, 5);
-    const std::vector<WorkloadSignature> known = db.signatures();
     const auto t0 = std::chrono::steady_clock::now();
-    const std::size_t legacy_idx = legacy.classify(queries[0], known);
+    legacy.fit(db.signature_view());
+    const std::size_t legacy_idx = legacy.classify(queries[0]);
     const double legacy_ns = seconds_since(t0) * 1e9;
 
     KMeansClassifier km(16, 7, 5);
@@ -467,9 +473,9 @@ int main(int argc, char** argv) {
   // ---- decision tree: per-call rebuild vs fit-once ----------------------
   {
     DecisionTreeClassifier legacy(16);
-    const std::vector<WorkloadSignature> known = db.signatures();
     const auto t0 = std::chrono::steady_clock::now();
-    const std::size_t legacy_idx = legacy.classify(queries[0], known);
+    legacy.fit(db.signature_view());
+    const std::size_t legacy_idx = legacy.classify(queries[0]);
     const double legacy_ns = seconds_since(t0) * 1e9;
 
     DecisionTreeClassifier tree(16);

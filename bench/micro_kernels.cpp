@@ -4,6 +4,7 @@
 // RSL parsing and the sensitivity sweep.
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -291,8 +292,11 @@ void BM_SignatureScanBlocked(benchmark::State& state) {
   std::vector<double> query(dims);
   for (double& v : query) v = rng.uniform01();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        nearest_signature_blocked(data.data(), count, dims, query.data()));
+    double best_d = std::numeric_limits<double>::infinity();
+    std::size_t best = 0;
+    nearest_signature_scan(data.data(), dims, 0, count, query.data(), best_d,
+                           best);
+    benchmark::DoNotOptimize(best);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -3,17 +3,14 @@
 // Three hot paths, each reported as events/second (best of several runs so
 // machine noise shrinks the number, never inflates it):
 //   des_burst   many pending events with simulator-sized captures — the
-//               schedule-heavy phase (heap pressure, event moves)
+//               schedule-heavy phase (queue pressure, event moves)
 //   des_chain   one event scheduling the next — steady-state schedule +
 //               dispatch latency with a warm queue
 //   cluster     a full simulate_cluster run — the end-to-end number every
 //               objective evaluation pays
 //
-// Every path runs under both queue backends: the calendar queue (the
-// default, reported as the headline `EVENTS_PER_SEC` numbers) and the
-// binary-heap baseline, with `DES_*` speedup markers proving the calendar
-// queue earns its keep. tools/run_benches.sh scrapes both marker families
-// into BENCH_timings.json.
+// tools/run_benches.sh scrapes the `EVENTS_PER_SEC` markers into
+// BENCH_timings.json.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -40,11 +37,10 @@ struct Payload {
   std::uint64_t words[6] = {};
 };
 
-double des_burst_rate(websim::DesQueueMode mode, std::size_t events,
-                      int repeats) {
+double des_burst_rate(std::size_t events, int repeats) {
   double best = 0.0;
   for (int r = 0; r < repeats; ++r) {
-    websim::Simulation sim(mode);
+    websim::Simulation sim;
     sim.reserve_events(events);
     std::uint64_t sink = 0;
     const auto start = Clock::now();
@@ -62,11 +58,10 @@ double des_burst_rate(websim::DesQueueMode mode, std::size_t events,
   return best;
 }
 
-double des_chain_rate(websim::DesQueueMode mode, std::size_t events,
-                      int repeats) {
+double des_chain_rate(std::size_t events, int repeats) {
   double best = 0.0;
   for (int r = 0; r < repeats; ++r) {
-    websim::Simulation sim(mode);
+    websim::Simulation sim;
     // A warm queue of background events, as in a real run where every
     // browser holds a pending timer.
     std::uint64_t sink = 0;
@@ -94,10 +89,7 @@ double des_chain_rate(websim::DesQueueMode mode, std::size_t events,
   return best;
 }
 
-double cluster_rate(websim::DesQueueMode mode, int repeats) {
-  // simulate_cluster builds its own Simulation, so select the backend via
-  // the process-wide default.
-  websim::set_des_queue_mode(mode);
+double cluster_rate(int repeats) {
   websim::SimOptions opts;
   opts.seed = 5;
   opts.measure_s = 20.0;
@@ -116,36 +108,19 @@ double cluster_rate(websim::DesQueueMode mode, int repeats) {
 int main() {
   bench::section("websim events/sec (DES hot-path throughput)");
 
-  constexpr auto kCalendar = websim::DesQueueMode::kCalendar;
-  constexpr auto kHeap = websim::DesQueueMode::kBinaryHeap;
+  const double burst = des_burst_rate(200000, 5);
+  const double chain = des_chain_rate(500000, 5);
+  const double cluster = cluster_rate(5);
 
-  const double burst = des_burst_rate(kCalendar, 200000, 5);
-  const double chain = des_chain_rate(kCalendar, 500000, 5);
-  const double cluster = cluster_rate(kCalendar, 5);
-  const double burst_heap = des_burst_rate(kHeap, 200000, 5);
-  const double chain_heap = des_chain_rate(kHeap, 500000, 5);
-  const double cluster_heap = cluster_rate(kHeap, 5);
-
-  Table table({"bench", "calendar", "binary_heap", "speedup"});
-  table.add_row({"des_burst", Table::num(burst, 0), Table::num(burst_heap, 0),
-                 Table::num(burst / burst_heap, 2)});
-  table.add_row({"des_chain", Table::num(chain, 0), Table::num(chain_heap, 0),
-                 Table::num(chain / chain_heap, 2)});
-  table.add_row({"cluster", Table::num(cluster, 0),
-                 Table::num(cluster_heap, 0),
-                 Table::num(cluster / cluster_heap, 2)});
+  Table table({"bench", "events_per_sec"});
+  table.add_row({"des_burst", Table::num(burst, 0)});
+  table.add_row({"des_chain", Table::num(chain, 0)});
+  table.add_row({"cluster", Table::num(cluster, 0)});
   bench::print_table(table, "websim_events_per_sec");
 
   // Marker lines scraped by tools/run_benches.sh into BENCH_timings.json.
-  // EVENTS_PER_SEC keys keep their historical meaning (the default queue).
   std::printf("EVENTS_PER_SEC des_burst %.0f\n", burst);
   std::printf("EVENTS_PER_SEC des_chain %.0f\n", chain);
   std::printf("EVENTS_PER_SEC cluster %.0f\n", cluster);
-  std::printf("DES_heap_des_burst %.0f\n", burst_heap);
-  std::printf("DES_heap_des_chain %.0f\n", chain_heap);
-  std::printf("DES_heap_cluster %.0f\n", cluster_heap);
-  std::printf("DES_speedup_des_burst %.2f\n", burst / burst_heap);
-  std::printf("DES_speedup_des_chain %.2f\n", chain / chain_heap);
-  std::printf("DES_speedup_cluster %.2f\n", cluster / cluster_heap);
   return 0;
 }

@@ -153,17 +153,6 @@ void nearest_signature_scan_scalar(const double* data, std::size_t dims,
   }
 }
 
-std::size_t nearest_signature_blocked(const double* data, std::size_t count,
-                                      std::size_t dims, const double* query,
-                                      double* best_dist_sq) {
-  HARMONY_REQUIRE(count > 0, "classify against empty signature set");
-  std::size_t best = 0;
-  double best_d = std::numeric_limits<double>::infinity();
-  nearest_signature_scan(data, dims, 0, count, query, best_d, best);
-  if (best_dist_sq != nullptr) *best_dist_sq = best_d;
-  return best;
-}
-
 void nearest_signature_scan(const SignatureView& view, std::size_t first,
                             std::size_t last, const double* query,
                             double& best_dist_sq, std::size_t& best_index) {
@@ -211,30 +200,6 @@ void Classifier::refit(const SignatureView& view) {
   }
   fit(view);
   ++stats_.full;
-}
-
-std::size_t Classifier::classify(const WorkloadSignature& observed,
-                                 const std::vector<WorkloadSignature>& known) {
-  HARMONY_REQUIRE(!known.empty(), "classify against empty signature set");
-  compat_data_.clear();
-  compat_offsets_.clear();
-  compat_offsets_.reserve(known.size() + 1);
-  compat_offsets_.push_back(0);
-  const std::size_t dims = known.front().size();
-  bool mixed = false;
-  for (const auto& s : known) {
-    if (s.size() != dims) mixed = true;
-    compat_data_.insert(compat_data_.end(), s.begin(), s.end());
-    compat_offsets_.push_back(compat_data_.size());
-  }
-  SignatureView view;
-  view.tail_data = compat_data_.data();
-  view.tail_offsets = compat_offsets_.data();
-  view.count = known.size();
-  view.dims = mixed ? SignatureView::kMixedDims : dims;
-  view.version = next_signature_version();
-  fit(view);
-  return classify(observed);
 }
 
 // --------------------------------------------------------------------------
@@ -959,9 +924,21 @@ std::vector<DataAnalyzer::Retrieval> DataAnalyzer::retrieve_batch(
   const SignatureView view = db.signature_view();
   std::vector<const WorkloadSignature*> accepted;
   std::vector<std::size_t> slots;
+  // Against an empty history the first accepted query fixes the batch's
+  // arity: its run is ingested ahead of the later ones, so a later query
+  // of another arity is rejected as it would be after that ingest.
+  const WorkloadSignature* first = nullptr;
   for (std::size_t i = 0; i < queries.size(); ++i) {
     if (queries[i] == nullptr) continue;
-    if (const char* why = query_rejection(view, *queries[i])) {
+    const char* why = query_rejection(view, *queries[i]);
+    if (why == nullptr && view.empty()) {
+      if (first == nullptr) {
+        first = queries[i];
+      } else if (queries[i]->size() != first->size()) {
+        why = "signature arity mismatch";
+      }
+    }
+    if (why != nullptr) {
       out[i].error = why;
     } else if (!db.empty()) {
       accepted.push_back(queries[i]);

@@ -72,22 +72,15 @@ inline constexpr std::size_t kDimChunk = 64;
     const double* data, std::size_t count, std::size_t dims,
     const double* query, double* best_dist_sq = nullptr);
 
-/// Blocked scan over the level-dispatched range kernel, with a
-/// running-argmin early exit that abandons a block as soon as every partial
-/// sum already exceeds the best distance. Each row keeps the scalar
-/// reference's exact forward accumulation order, so the result — including
-/// tie resolution — is bit-identical to nearest_signature_scalar at every
-/// SIMD level. Requires count >= 1.
-[[nodiscard]] std::size_t nearest_signature_blocked(
-    const double* data, std::size_t count, std::size_t dims,
-    const double* query, double* best_dist_sq = nullptr);
-
-/// Range form used by the sharded scan: folds rows [first, last) into the
-/// running (best_dist_sq, best_index) pair. Skipped rows never update the
-/// pair, so folding disjoint ranges in index order reproduces the full
-/// serial scan exactly. Dispatches on simd_level(): the vector kernels run
-/// one row per lane (each lane is that row's entire forward accumulation
-/// chain), so every level returns bit-identical results.
+/// Range fold over the level-dispatched kernel: folds rows [first, last)
+/// into the running (best_dist_sq, best_index) pair, abandoning a block as
+/// soon as every partial sum already exceeds the best distance. Skipped
+/// rows never update the pair, so folding disjoint ranges in index order
+/// reproduces the full serial scan exactly; a fold of [0, count) from
+/// (+inf, 0) is bit-identical to nearest_signature_scalar, tie resolution
+/// included. Dispatches on simd_level(): the vector kernels run one row per
+/// lane (each lane is that row's entire forward accumulation chain), so
+/// every level returns bit-identical results.
 void nearest_signature_scan(const double* data, std::size_t dims,
                             std::size_t first, std::size_t last,
                             const double* query, double& best_dist_sq,
@@ -136,9 +129,7 @@ void build_signature_sketch(const SignatureView& view, std::size_t first,
 /// signature. fit() builds the model over a flat SignatureView (the view's
 /// backing storage must stay alive and unchanged until the next fit);
 /// classify() answers queries against the fitted model and throws when the
-/// fitted set is empty. The legacy two-argument classify() remains as a
-/// compatibility shim that copies `known` into an owned flat store, fits,
-/// and classifies — the old per-call-rebuild cost model.
+/// fitted set is empty.
 class Classifier {
  public:
   /// How refit() has been resolving staleness: full rebuilds vs delta
@@ -190,11 +181,6 @@ class Classifier {
   }
   void reset_refit_stats() noexcept { stats_ = RefitStats{}; }
 
-  /// Compatibility shim: fit over `known` (owned copy), then classify.
-  [[nodiscard]] std::size_t classify(
-      const WorkloadSignature& observed,
-      const std::vector<WorkloadSignature>& known);
-
  protected:
   /// Absorbs rows [first_new_row, view.count) into the fitted model,
   /// returning true on success. Called only by refit(), and only when the
@@ -225,9 +211,6 @@ class Classifier {
   std::uint64_t fitted_chain_ = 0;
   std::size_t fitted_count_ = 0;
   RefitStats stats_;
-  // Owned flat store backing the compatibility shim's view.
-  std::vector<double> compat_data_;
-  std::vector<std::size_t> compat_offsets_;
 };
 
 /// The paper's mechanism: argmin_j sum_k (c_jk - c_ok)^2, evaluated as a
@@ -260,8 +243,6 @@ class Classifier {
 /// reference while the scan reads a fraction of the bytes.
 class LeastSquareClassifier final : public Classifier {
  public:
-  using Classifier::classify;
-
   /// Batch work (queries x records) at which classify_batch() fans out
   /// across the thread pool; for one query, the record count.
   static constexpr std::size_t kParallelThreshold = 8192;
@@ -359,8 +340,6 @@ void sketch_pruned_scan_level(SimdLevel level, const double* data,
 /// O(k·dims + cluster) lookups instead of a full rebuild per query.
 class KMeansClassifier final : public Classifier {
  public:
-  using Classifier::classify;
-
   explicit KMeansClassifier(std::size_t k, std::uint64_t seed = 42,
                             int max_iterations = 50);
   void fit(const SignatureView& view) override;
@@ -404,8 +383,6 @@ class KMeansClassifier final : public Classifier {
 /// metric. fit() builds the tree once; classify() is a logarithmic descent.
 class DecisionTreeClassifier final : public Classifier {
  public:
-  using Classifier::classify;
-
   explicit DecisionTreeClassifier(std::size_t leaf_size = 4);
   void fit(const SignatureView& view) override;
   std::size_t classify(const WorkloadSignature& observed) const override;
@@ -517,7 +494,9 @@ class DataAnalyzer {
   /// The matching experience record of every query, classified in one
   /// Classifier::classify_batch call (after one ensure_fitted) exactly as
   /// classify() would one by one. A rejected query only marks its own
-  /// entry; a null query is skipped.
+  /// entry; a null query is skipped. Against an empty database the first
+  /// accepted query fixes the batch's arity, and a later query of another
+  /// arity is rejected as a signature arity mismatch.
   [[nodiscard]] std::vector<Retrieval> retrieve_batch(
       const HistoryDatabase& db,
       std::span<const WorkloadSignature* const> queries) const;

@@ -63,7 +63,6 @@ HistoryDatabase& HistoryDatabase::operator=(const HistoryDatabase& other) {
     // Fresh buffers, fresh chain: a classifier fitted against the source
     // must not treat the copy's rows as its own append tail.
     append_base_ = version_;
-    append_base_rows_ = size();
   }
   return *this;
 }
@@ -103,7 +102,6 @@ void HistoryDatabase::reserve(std::size_t n_records,
   // reserve() may reallocate the flat store, so outstanding views (and any
   // delta bookkeeping against them) are invalidated wholesale.
   append_base_ = version_;
-  append_base_rows_ = size();
 }
 
 void HistoryDatabase::adopt_snapshot(
@@ -125,7 +123,6 @@ void HistoryDatabase::adopt_snapshot(
   }
   version_ = next_signature_version();
   append_base_ = version_;
-  append_base_rows_ = size();
 }
 
 void HistoryDatabase::materialize() {
@@ -162,7 +159,6 @@ void HistoryDatabase::materialize() {
   snap_.reset();
   version_ = next_signature_version();
   append_base_ = version_;
-  append_base_rows_ = size();
 }
 
 void HistoryDatabase::reset_snapshot_state() {
@@ -198,18 +194,6 @@ const ExperienceRecord& HistoryDatabase::record(std::size_t i) const {
   auto* rec = new ExperienceRecord(snap_->decode_record(i));
   slots[i].store(rec, std::memory_order_release);
   return *rec;
-}
-
-std::vector<WorkloadSignature> HistoryDatabase::signatures() const {
-  // Built from the flat view (works for borrowed storage without decoding
-  // any record payloads).
-  const SignatureView v = signature_view();
-  std::vector<WorkloadSignature> out;
-  out.reserve(v.count);
-  for (std::size_t i = 0; i < v.count; ++i) {
-    out.emplace_back(v.row(i), v.row(i) + v.arity(i));
-  }
-  return out;
 }
 
 SignatureView HistoryDatabase::signature_view() const noexcept {
@@ -327,7 +311,6 @@ void HistoryDatabase::load(std::istream& is) {
   for (const auto& rec : records_) append_flat(rec.signature);
   version_ = next_signature_version();
   append_base_ = version_;
-  append_base_rows_ = size();
 }
 
 void HistoryDatabase::save_file(const std::string& path) const {

@@ -172,10 +172,6 @@ class HistoryDatabase {
   [[nodiscard]] bool empty() const noexcept { return size() == 0; }
   [[nodiscard]] const ExperienceRecord& record(std::size_t i) const;
 
-  /// All stored signatures, in record order. Compatibility accessor: this
-  /// copies every signature; the classify hot path uses signature_view().
-  [[nodiscard]] std::vector<WorkloadSignature> signatures() const;
-
   /// Zero-copy view of the flat signature store, stamped with the current
   /// version. Valid until the next mutating call (or destruction).
   [[nodiscard]] SignatureView signature_view() const noexcept;
@@ -190,11 +186,6 @@ class HistoryDatabase {
   /// another instance.
   [[nodiscard]] std::uint64_t append_base() const noexcept {
     return append_base_;
-  }
-  /// Record count at the moment the current chain started (diagnostics; a
-  /// consumer's own fitted count is what defines its delta).
-  [[nodiscard]] std::size_t append_base_rows() const noexcept {
-    return append_base_rows_;
   }
 
   /// Serializes to the versioned text format.
@@ -243,12 +234,11 @@ class HistoryDatabase {
   std::size_t sig_dims_ = 0;  ///< arity of the first record
   bool sig_mixed_ = false;    ///< records disagree on arity
   std::uint64_t version_ = next_signature_version();
-  // Chain identity + the row count when the chain started. append_base_
-  // reuses version stamps (process-unique), so equality against a consumer's
-  // remembered value identifies this exact chain. Initialized from version_
-  // (declared above, so in-class initializer order is well-defined).
+  // Chain identity. append_base_ reuses version stamps (process-unique), so
+  // equality against a consumer's remembered value identifies this exact
+  // chain. Initialized from version_ (declared above, so in-class
+  // initializer order is well-defined).
   std::uint64_t append_base_ = version_;
-  std::size_t append_base_rows_ = 0;
 
   std::shared_ptr<const SnapshotMapping> snap_;
   std::size_t snap_count_ = 0;  ///< records served from the mapping

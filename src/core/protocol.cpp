@@ -43,10 +43,11 @@ std::string serialize(const Message& message) {
 }
 
 Message parse_message(const std::string& line) {
-  HARMONY_REQUIRE(line.find_first_of("\r\n") == std::string::npos,
-                  "protocol line contains embedded CR/LF");
+  if (line.find_first_of("\r\n") != std::string::npos) {
+    throw Error("protocol line contains embedded CR/LF");
+  }
   const std::string_view trimmed = trim(line);
-  HARMONY_REQUIRE(!trimmed.empty(), "empty protocol line");
+  if (trimmed.empty()) throw Error("empty protocol line");
   const std::size_t sp = trimmed.find_first_of(" \t");
   Message m;
   if (sp == std::string_view::npos) {
@@ -66,19 +67,21 @@ Message parse_message(const std::string& line) {
 HelloPayload parse_hello_payload(const std::string& payload) {
   HelloPayload out;
   const std::vector<std::string> tokens = split_ws(trim(payload));
-  HARMONY_REQUIRE(!tokens.empty(), "HELLO needs a client name");
+  if (tokens.empty()) throw Error("HELLO needs a client name");
   out.name = tokens[0];
   for (std::size_t i = 1; i < tokens.size(); ++i) {
     const std::string& tok = tokens[i];
     const std::size_t eq = tok.find('=');
-    HARMONY_REQUIRE(eq != std::string::npos && eq > 0,
-                    "HELLO option must be key=value: '" + tok + "'");
+    if (eq == std::string::npos || eq == 0) {
+      throw Error("HELLO option must be key=value: '" + tok + "'");
+    }
     const std::string key = tok.substr(0, eq);
     const std::string value = tok.substr(eq + 1);
     if (key == "strategy") {
-      HARMONY_REQUIRE(is_search_kernel(value),
-                      "unknown strategy '" + value +
-                          "' (expected simplex, ils or evolutionary)");
+      if (!is_search_kernel(value)) {
+        throw Error("unknown strategy '" + value +
+                    "' (expected simplex, ils or evolutionary)");
+      }
       out.strategy = value;
     }
     // Unknown keys are ignored: older servers reject the whole line anyway,

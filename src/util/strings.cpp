@@ -75,21 +75,23 @@ std::string format_double(double v) {
 
 double parse_double(std::string_view s) {
   const std::string tmp(trim(s));
-  HARMONY_REQUIRE(!tmp.empty(), "empty number");
+  if (tmp.empty()) throw Error("empty number");
   char* end = nullptr;
   const double v = std::strtod(tmp.c_str(), &end);
-  HARMONY_REQUIRE(end == tmp.c_str() + tmp.size(),
-                  "invalid number: '" + tmp + "'");
+  if (end != tmp.c_str() + tmp.size()) {
+    throw Error("invalid number: '" + tmp + "'");
+  }
   return v;
 }
 
 long parse_long(std::string_view s) {
   const std::string tmp(trim(s));
-  HARMONY_REQUIRE(!tmp.empty(), "empty integer");
+  if (tmp.empty()) throw Error("empty integer");
   char* end = nullptr;
   const long v = std::strtol(tmp.c_str(), &end, 10);
-  HARMONY_REQUIRE(end == tmp.c_str() + tmp.size(),
-                  "invalid integer: '" + tmp + "'");
+  if (end != tmp.c_str() + tmp.size()) {
+    throw Error("invalid integer: '" + tmp + "'");
+  }
   return v;
 }
 

@@ -2,46 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-#include <string>
+#include <cassert>
 #include <utility>
 
 #include "util/error.hpp"
 
 namespace harmony::websim {
-
-namespace {
-
-std::atomic<int> g_queue_mode{-1};  // -1 = not yet resolved
-
-DesQueueMode resolve_queue_mode_from_env() {
-  const char* env = std::getenv("HARMONY_DES_QUEUE");
-  if (env == nullptr || *env == '\0') return DesQueueMode::kCalendar;
-  if (std::strcmp(env, "calendar") == 0) return DesQueueMode::kCalendar;
-  if (std::strcmp(env, "heap") == 0) return DesQueueMode::kBinaryHeap;
-  HARMONY_REQUIRE(false,
-                  "HARMONY_DES_QUEUE must be 'heap' or 'calendar', got '" +
-                      std::string(env) + "'");
-}
-
-}  // namespace
-
-DesQueueMode des_queue_mode() {
-  int mode = g_queue_mode.load(std::memory_order_relaxed);
-  if (mode < 0) {
-    mode = static_cast<int>(resolve_queue_mode_from_env());
-    g_queue_mode.store(mode, std::memory_order_relaxed);
-  }
-  return static_cast<DesQueueMode>(mode);
-}
-
-void set_des_queue_mode(DesQueueMode mode) {
-  g_queue_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
-
-Simulation::Simulation(DesQueueMode mode) : mode_(mode) {}
 
 void Simulation::schedule(SimTime delay, Action action) {
   HARMONY_REQUIRE(delay >= 0.0, "cannot schedule in the past");
@@ -86,10 +52,6 @@ void Simulation::reserve_events(std::size_t n) {
       free_slots_[i] = static_cast<std::uint32_t>(cap - 1 - i);
     }
   }
-  if (mode_ == DesQueueMode::kBinaryHeap) {
-    heap_.reserve(n);
-    return;
-  }
   // Pre-size the calendar bucket array too, so a reserved schedule burst
   // never reallocates it mid-flight (later rebuilds reuse the capacity
   // through assign()).
@@ -116,8 +78,8 @@ std::uint64_t Simulation::vbucket(double t) const noexcept {
 
 std::uint32_t Simulation::meld(std::uint32_t a, std::uint32_t b) noexcept {
   // Pairing-heap meld: the loser becomes the winner's first child. Keys
-  // are unique, so the (time, key) order is total and pops replay the
-  // binary heap's order exactly.
+  // are unique, so the (time, key) order is total and pops follow it
+  // exactly.
   if (ev_less(b, a)) std::swap(a, b);
   nodes_[b].sibling = nodes_[a].child;
   nodes_[a].child = b;
@@ -287,7 +249,7 @@ void Simulation::calendar_rebuild(std::size_t min_buckets) {
   // never changes which event is globally earliest.
 }
 
-bool Simulation::calendar_step() {
+bool Simulation::step() {
   if (count_ == 0) return false;
   const std::uint32_t s = calendar_min();
   // The pairing-heap pop below touches only the link arrays: start
@@ -327,47 +289,8 @@ bool Simulation::calendar_step() {
   return true;
 }
 
-bool Simulation::step() {
-  if (mode_ == DesQueueMode::kCalendar) return calendar_step();
-  if (heap_.empty()) return false;
-  // The minimum is known before the sift: start pulling its callback slot
-  // (a random, often cache-cold 80-byte read) while pop_heap reorders the
-  // heap underneath it.
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(
-      &slot(static_cast<std::uint32_t>(heap_.front().key & kSlotMask)));
-#endif
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const Event ev = heap_.back();
-  heap_.pop_back();
-  now_ = ev.time;
-#ifndef NDEBUG
-  assert((executed_ == 0 || ev.time > last_pop_time_ ||
-          (ev.time == last_pop_time_ && ev.key > last_pop_key_)) &&
-         "DES pops must be globally ordered on (time, seq)");
-  last_pop_time_ = ev.time;
-  last_pop_key_ = ev.key;
-#endif
-  ++executed_;
-  const auto s = static_cast<std::uint32_t>(ev.key & kSlotMask);
-  // Run the callback in place: slot addresses are stable and the slot is
-  // not on the free list while it runs, so events it schedules can neither
-  // move nor reuse it. Freed only after it returns.
-  Action& action = slot(s);
-  action();
-  action.reset();
-  free_slots_.push_back(s);
-  return true;
-}
-
 void Simulation::run_until(SimTime deadline) {
-  if (mode_ == DesQueueMode::kCalendar) {
-    while (count_ != 0 && nodes_[calendar_min()].time <= deadline) {
-      calendar_step();
-    }
-  } else {
-    while (!heap_.empty() && heap_.front().time <= deadline) step();
-  }
+  while (count_ != 0 && nodes_[calendar_min()].time <= deadline) step();
   if (now_ < deadline) now_ = deadline;
 }
 

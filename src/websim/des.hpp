@@ -5,17 +5,14 @@
 // accounting. All simulator components (stations, browsers, queues) are
 // built on `schedule`/`now`.
 //
-// Two queue backends share the identical (time, seq) total order and the
-// same slot-pool callback storage (see DESIGN.md §11):
-//   * kCalendar (default): a calendar queue of intrusive pairing heaps —
-//     pending events hang off per-slot parallel link arrays, each bucket
-//     holds one pairing heap, inserts are O(1) melds and pops amortize to
-//     O(log bucket). Bucket width recalibrates deterministically from the
-//     median positive gap of sampled pending times when the population
-//     doubles or quarters; the bucket count only grows (powers of two).
-//     Equal-time floods degrade gracefully to a single pairing heap.
-//   * kBinaryHeap: the std::push_heap/pop_heap baseline, kept for
-//     differential tests and benchmarks.
+// The queue is a calendar queue of intrusive pairing heaps (see DESIGN.md
+// §11): pending events are per-slot nodes, each bucket holds one pairing
+// heap, inserts are O(1) melds and pops amortize to O(log bucket). Bucket
+// width recalibrates deterministically from the median positive gap of
+// sampled pending times when the population doubles or quarters; the
+// bucket count only grows (powers of two). Equal-time floods degrade
+// gracefully to a single pairing heap. Pops follow the (time, seq) total
+// order exactly; the des tests check that against a binary-heap reference.
 //
 // The hot path is allocation-free and copy-free in steady state:
 //   * Event callbacks are fixed-capacity inline callables — scheduling
@@ -23,15 +20,13 @@
 //   * Callbacks live in chunked slot storage with stable addresses. The
 //     templated schedule path constructs the callable directly in its slot
 //     (zero intermediate moves) and dispatch invokes it in place.
-//   * Queue entries are plain data (time + packed seq/slot), so neither
-//     heap sifts nor pairing-heap melds ever touch callback storage, and
-//     calendar rebuilds reuse reserved bucket capacity.
+//   * Queue entries are plain data (time + packed seq/slot), so
+//     pairing-heap melds never touch callback storage, and calendar
+//     rebuilds reuse reserved bucket capacity.
 // Warm free lists (or a reserve_events() call) make schedule/step perform
 // zero heap allocations.
 #pragma once
 
-#include <algorithm>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -46,18 +41,6 @@ namespace harmony::websim {
 
 using SimTime = double;  ///< seconds of simulated time
 
-/// Event-queue backend selector.
-enum class DesQueueMode : int { kBinaryHeap = 0, kCalendar = 1 };
-
-/// Process-wide default backend for newly constructed Simulations:
-/// honours HARMONY_DES_QUEUE=heap|calendar (anything else throws), defaults
-/// to the calendar queue. Cached after the first call.
-[[nodiscard]] DesQueueMode des_queue_mode();
-
-/// Overrides the process-wide default (tests and benches); only affects
-/// Simulations constructed afterwards.
-void set_des_queue_mode(DesQueueMode mode);
-
 class Simulation {
  public:
   /// Inline storage for one event callback. Sized for the simulator's
@@ -65,12 +48,6 @@ class Simulation {
   /// inline Done callable); captures that do not fit fail to compile.
   static constexpr std::size_t kActionCapacity = 64;
   using Action = util::InlineFunction<void(), kActionCapacity>;
-
-  /// Picks the queue backend at construction (default: des_queue_mode()).
-  explicit Simulation(DesQueueMode mode = des_queue_mode());
-
-  /// Backend this instance runs on.
-  [[nodiscard]] DesQueueMode queue_mode() const noexcept { return mode_; }
 
   /// Current simulated time (0 at construction).
   [[nodiscard]] SimTime now() const noexcept { return now_; }
@@ -103,9 +80,9 @@ class Simulation {
   }
   void schedule_at(SimTime when, Action action);
 
-  /// Pre-sizes the queue (binary heap, or the calendar bucket array) and
-  /// the callback slot pool for roughly `n` simultaneously-pending events,
-  /// avoiding reallocation churn in schedule-heavy phases.
+  /// Pre-sizes the calendar bucket array and the callback slot pool for
+  /// roughly `n` simultaneously-pending events, avoiding reallocation churn
+  /// in schedule-heavy phases.
   void reserve_events(std::size_t n);
 
   /// Executes the next event; false when the queue is empty.
@@ -122,7 +99,7 @@ class Simulation {
 
   /// Events still pending.
   [[nodiscard]] std::size_t pending_events() const noexcept {
-    return mode_ == DesQueueMode::kCalendar ? count_ : heap_.size();
+    return count_;
   }
 
  private:
@@ -133,22 +110,6 @@ class Simulation {
   static constexpr std::uint64_t kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1ULL << kSlotBits) - 1;
   static constexpr std::uint64_t kMaxSeq = 1ULL << (64 - kSlotBits);
-  struct Event {
-    SimTime time;
-    std::uint64_t key;  ///< (seq << kSlotBits) | slot
-  };
-  static bool earlier(const Event& a, const Event& b) noexcept {
-    // seq occupies the high bits of key, so comparing keys at equal times
-    // is exactly FIFO scheduling order.
-    if (a.time != b.time) return a.time < b.time;
-    return a.key < b.key;
-  }
-  // std::push_heap/pop_heap comparator for a min-heap on (time, seq).
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      return earlier(b, a);
-    }
-  };
 
   // Chunked slot storage: addresses are stable across growth, so step()
   // can run a callback in place while it schedules further events.
@@ -169,13 +130,7 @@ class Simulation {
 
   void push_event(SimTime when, std::uint32_t s) {
     HARMONY_REQUIRE(seq_ < kMaxSeq, "event sequence space exhausted");
-    const std::uint64_t key = (seq_++ << kSlotBits) | s;
-    if (mode_ == DesQueueMode::kCalendar) {
-      calendar_push(when, s, key);
-      return;
-    }
-    heap_.push_back(Event{when, key});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    calendar_push(when, s, (seq_++ << kSlotBits) | s);
   }
 
   void add_slot_chunk();
@@ -207,6 +162,8 @@ class Simulation {
   };
 
   [[nodiscard]] bool ev_less(std::uint32_t a, std::uint32_t b) const noexcept {
+    // seq occupies the high bits of key, so comparing keys at equal times
+    // is exactly FIFO scheduling order.
     const Node& na = nodes_[a];
     const Node& nb = nodes_[b];
     if (na.time != nb.time) return na.time < nb.time;
@@ -220,23 +177,19 @@ class Simulation {
   [[nodiscard]] std::uint32_t calendar_min();
   void calendar_remove_min(std::uint32_t s);
   void calendar_rebuild(std::size_t min_buckets);
-  bool calendar_step();
 
-  std::vector<Event> heap_;  ///< binary min-heap on (time, seq) (heap mode)
   std::vector<std::unique_ptr<Action[]>> slot_chunks_;
   std::vector<std::uint32_t> free_slots_;
-  // Calendar state (kCalendar mode only).
   std::vector<Node> nodes_;  ///< per-slot pairing-heap node; time -1 = free
   std::vector<std::uint32_t> bucket_head_;  ///< pairing-heap root per bucket
   std::size_t nb_ = 0;          ///< bucket count (power of two, grow-only)
   double width_ = 1.0;          ///< seconds of simulated time per bucket
   double inv_width_ = 1.0;
-  std::size_t count_ = 0;       ///< pending events (calendar mode)
+  std::size_t count_ = 0;       ///< pending events
   std::size_t rebuild_size_ = kMinRebuild;  ///< population at last rebuild
   std::uint32_t cached_min_ = kNil;  ///< slot of the global min, if known
   std::uint32_t watermark_ = 0;      ///< one past the highest slot ever used
 
-  DesQueueMode mode_;
   SimTime now_ = 0.0;
   std::uint64_t seq_ = 0;
   std::uint64_t executed_ = 0;

@@ -76,13 +76,26 @@ TEST(HistoryDatabase, FileRoundTripAndMissingFile) {
   EXPECT_THROW(loaded.load_file("/nonexistent/dir/x.txt"), Error);
 }
 
+/// A database holding one record per signature of `known`, in order.
+HistoryDatabase db_of(const std::vector<WorkloadSignature>& known) {
+  HistoryDatabase db;
+  for (const WorkloadSignature& sig : known) {
+    ExperienceRecord rec;
+    rec.signature = sig;
+    db.add(std::move(rec));
+  }
+  return db;
+}
+
 TEST(LeastSquareClassifier, PicksNearestSignature) {
   LeastSquareClassifier c;
-  const std::vector<WorkloadSignature> known = {
-      {0.0, 0.0}, {1.0, 1.0}, {2.0, 2.0}};
-  EXPECT_EQ(c.classify({0.9, 1.05}, known), 1u);
-  EXPECT_EQ(c.classify({-5.0, 0.0}, known), 0u);
-  EXPECT_THROW((void)c.classify({0.0}, {}), Error);
+  const HistoryDatabase db = db_of({{0.0, 0.0}, {1.0, 1.0}, {2.0, 2.0}});
+  c.fit(db.signature_view());
+  EXPECT_EQ(c.classify({0.9, 1.05}), 1u);
+  EXPECT_EQ(c.classify({-5.0, 0.0}), 0u);
+  const HistoryDatabase empty;
+  c.fit(empty.signature_view());
+  EXPECT_THROW((void)c.classify({0.0}), Error);
 }
 
 TEST(KMeansClassifier, AgreesWithNearestNeighbourOnSeparatedClusters) {
@@ -91,19 +104,22 @@ TEST(KMeansClassifier, AgreesWithNearestNeighbourOnSeparatedClusters) {
   std::vector<WorkloadSignature> known;
   for (double d : {0.0, 0.1, 0.2}) known.push_back({d, d});
   for (double d : {5.0, 5.1, 5.2}) known.push_back({d, d});
+  const HistoryDatabase db = db_of(known);
+  km.fit(db.signature_view());
+  nn.fit(db.signature_view());
   for (const WorkloadSignature obs :
        {WorkloadSignature{0.15, 0.1}, {5.05, 5.2}, {2.0, 2.0}}) {
-    const auto got = km.classify(obs, known);
     // Same cluster as nearest neighbour (exact index may differ inside a
     // cluster only if distances tie; these do not).
-    EXPECT_EQ(got, nn.classify(obs, known));
+    EXPECT_EQ(km.classify(obs), nn.classify(obs));
   }
 }
 
 TEST(KMeansClassifier, KLargerThanDataFallsBackSanely) {
   KMeansClassifier km(10);
-  const std::vector<WorkloadSignature> known = {{0.0}, {4.0}};
-  EXPECT_EQ(km.classify({3.5}, known), 1u);
+  const HistoryDatabase db = db_of({{0.0}, {4.0}});
+  km.fit(db.signature_view());
+  EXPECT_EQ(km.classify({3.5}), 1u);
   EXPECT_THROW(KMeansClassifier(0), Error);
 }
 
@@ -117,13 +133,16 @@ TEST(DecisionTreeClassifier, AgreesWithExactNearestNeighbour) {
     for (std::size_t i = 0; i < n; ++i) {
       known.push_back({rng.uniform01(), rng.uniform01(), rng.uniform01()});
     }
+    const HistoryDatabase db = db_of(known);
     DecisionTreeClassifier tree(2);
+    tree.fit(db.signature_view());
     LeastSquareClassifier nn;
+    nn.fit(db.signature_view());
     for (int q = 0; q < 10; ++q) {
       const WorkloadSignature obs = {rng.uniform01(), rng.uniform01(),
                                      rng.uniform01()};
-      const auto got = tree.classify(obs, known);
-      const auto want = nn.classify(obs, known);
+      const auto got = tree.classify(obs);
+      const auto want = nn.classify(obs);
       EXPECT_DOUBLE_EQ(signature_distance_sq(obs, known[got]),
                        signature_distance_sq(obs, known[want]));
     }
@@ -133,12 +152,17 @@ TEST(DecisionTreeClassifier, AgreesWithExactNearestNeighbour) {
 TEST(DecisionTreeClassifier, HandlesDegenerateData) {
   DecisionTreeClassifier tree(1);
   // All signatures identical: no split possible.
-  const std::vector<WorkloadSignature> same = {{1.0, 1.0}, {1.0, 1.0}};
-  EXPECT_LT(tree.classify({0.9, 1.1}, same), 2u);
-  // Single member.
-  EXPECT_EQ(tree.classify({5.0}, {{0.0}}), 0u);
-  EXPECT_THROW((void)tree.classify({0.0}, {}), Error);
-  EXPECT_THROW((void)tree.classify({0.0, 1.0}, {{0.0}}), Error);
+  const HistoryDatabase same = db_of({{1.0, 1.0}, {1.0, 1.0}});
+  tree.fit(same.signature_view());
+  EXPECT_LT(tree.classify({0.9, 1.1}), 2u);
+  // Single member; a query of another arity is rejected.
+  const HistoryDatabase single = db_of({{0.0}});
+  tree.fit(single.signature_view());
+  EXPECT_EQ(tree.classify({5.0}), 0u);
+  EXPECT_THROW((void)tree.classify({0.0, 1.0}), Error);
+  const HistoryDatabase empty;
+  tree.fit(empty.signature_view());
+  EXPECT_THROW((void)tree.classify({0.0}), Error);
   EXPECT_THROW(DecisionTreeClassifier(0), Error);
 }
 
@@ -210,6 +234,32 @@ TEST(HarmonyServer, RecordsAndReusesExperience) {
   const auto cold = analyze_trace(first.tuning.trace);
   const auto warm = analyze_trace(second.tuning.trace);
   EXPECT_LE(warm.bad_iterations, cold.bad_iterations);
+}
+
+TEST(HarmonyServer, FirstBatchCannotMixSignatureArities) {
+  // Against an empty history the batch's first request fixes the arity: a
+  // later request of another arity is rejected exactly as it would be had
+  // the first run been stored before it, so the history never mixes
+  // arities and later requests still classify.
+  const ParameterSpace space = synth::symmetric_space(1, 5.0, 1.0);
+  auto objective = synth::sphere_objective(0.0);
+  ServerOptions opts;
+  opts.tuning.simplex.max_evaluations = 30;
+  HarmonyServer server(space, opts);
+  const ServeRequest requests[] = {{&objective, {0.5}, "narrow"},
+                                   {&objective, {0.5, 0.5}, "wide"},
+                                   {&objective, {0.25}, "narrow too"}};
+  const auto results = server.serve_batch(requests);
+  EXPECT_FALSE(results[0].failed);
+  EXPECT_TRUE(results[1].failed);
+  EXPECT_EQ(results[1].failure, "signature arity mismatch");
+  EXPECT_FALSE(results[2].failed);
+  ASSERT_EQ(server.database().size(), 2u);
+  EXPECT_EQ(server.database().record(1).label, "narrow too");
+
+  const auto later = server.tune(objective, {0.5}, "later");
+  EXPECT_FALSE(later.failed) << later.failure;
+  EXPECT_EQ(later.experience_label, "narrow");
 }
 
 TEST(HarmonyServer, CanDisableRecording) {

@@ -56,11 +56,13 @@ TEST(SignatureKernels, BlockedMatchesScalarBitForBit) {
       std::vector<double> query(dims);
       for (double& v : query) v = rng.uniform01();
 
-      double ds = 0.0, db = 0.0;
+      double ds = 0.0;
       const std::size_t is =
           nearest_signature_scalar(data.data(), count, dims, query.data(), &ds);
-      const std::size_t ib = nearest_signature_blocked(data.data(), count,
-                                                       dims, query.data(), &db);
+      double db = std::numeric_limits<double>::infinity();
+      std::size_t ib = 0;
+      nearest_signature_scan(data.data(), dims, 0, count, query.data(), db,
+                             ib);
       ASSERT_EQ(is, ib) << "dims=" << dims << " count=" << count;
       ASSERT_EQ(ds, db);  // exact double equality, not NEAR
 
@@ -69,9 +71,13 @@ TEST(SignatureKernels, BlockedMatchesScalarBitForBit) {
         const std::vector<double> hit(
             data.begin() + static_cast<long>(dims),
             data.begin() + static_cast<long>(2 * dims));
+        double dh = std::numeric_limits<double>::infinity();
+        std::size_t ih = 0;
+        nearest_signature_scan(data.data(), dims, 0, count, hit.data(), dh,
+                               ih);
         EXPECT_EQ(
             nearest_signature_scalar(data.data(), count, dims, hit.data()),
-            nearest_signature_blocked(data.data(), count, dims, hit.data()));
+            ih);
       }
     }
   }
@@ -86,7 +92,10 @@ TEST(SignatureKernels, ExactTiesPickLowestIndex) {
   }
   std::vector<double> query(dims, 0.7);
   EXPECT_EQ(nearest_signature_scalar(data.data(), 23, dims, query.data()), 0u);
-  EXPECT_EQ(nearest_signature_blocked(data.data(), 23, dims, query.data()), 0u);
+  double best_d = std::numeric_limits<double>::infinity();
+  std::size_t best = 99;
+  nearest_signature_scan(data.data(), dims, 0, 23, query.data(), best_d, best);
+  EXPECT_EQ(best, 0u);
 
   // Mirrored rows around the query: equal distances, lowest index wins even
   // when the tying rows land in different 4-row blocks.
@@ -99,8 +108,11 @@ TEST(SignatureKernels, ExactTiesPickLowestIndex) {
   const double q0 = 0.0;
   EXPECT_EQ(nearest_signature_scalar(mirror.data(), mirror.size(), 1, &q0),
             3u);
-  EXPECT_EQ(nearest_signature_blocked(mirror.data(), mirror.size(), 1, &q0),
-            3u);
+  best_d = std::numeric_limits<double>::infinity();
+  best = 99;
+  nearest_signature_scan(mirror.data(), 1, 0, mirror.size(), &q0, best_d,
+                         best);
+  EXPECT_EQ(best, 3u);
 }
 
 TEST(LeastSquareClassifier, SketchPrunedScanMatchesScalarAcrossDims) {
@@ -544,7 +556,11 @@ TEST(SplitViews, EveryClassifierMatchesTheContiguousSet) {
     // shard, except at the shard boundary): the least-square scan must
     // resolve the tie to the head row. The tree resolves ties in its own
     // search order, the same for either layout.
-    std::vector<WorkloadSignature> sigs = rows.signatures();
+    const SignatureView rows_view = rows.signature_view();
+    std::vector<WorkloadSignature> sigs;
+    for (std::size_t i = 0; i < rows_view.count; ++i) {
+      sigs.emplace_back(rows_view.row(i), rows_view.row(i) + dims);
+    }
     std::vector<WorkloadSignature> queries = make_queries(rng, 20, dims);
     for (const std::size_t split : splits) {
       sigs[split + 7] = sigs[split - 5];

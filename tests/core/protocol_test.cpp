@@ -1,5 +1,7 @@
 #include "core/protocol.hpp"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/rsl.hpp"
@@ -96,6 +98,28 @@ TEST(ServerSession, ProtocolViolationsReturnErrors) {
   EXPECT_EQ(session.handle({"BYE", {}}).verb, "OK");
   EXPECT_EQ(session.handle({"FETCH", {}}).verb, "ERROR");
   EXPECT_TRUE(session.finished());
+}
+
+// Client-reachable rejections reply with the plain reason: no source path
+// or line number of the check that fired.
+TEST(ServerSession, ErrorRepliesCarryPlainReasons) {
+  const auto reason = [](const Message& reply) {
+    EXPECT_EQ(reply.verb, "ERROR");
+    return reply.args.empty() ? std::string() : reply.args[0];
+  };
+  ServerSession session;
+  EXPECT_EQ(reason(session.handle({"HELLO", {"app strategy=gradient"}})),
+            "unknown strategy 'gradient' (expected simplex, ils or "
+            "evolutionary)");
+  EXPECT_EQ(reason(session.handle({"HELLO", {"app verbose"}})),
+            "HELLO option must be key=value: 'verbose'");
+  ASSERT_EQ(session.handle({"HELLO", {"app"}}).verb, "OK");
+  ASSERT_EQ(session.handle({"BUNDLES", {kRsl}}).verb, "OK");
+  EXPECT_EQ(reason(session.handle({"SIGNATURE", {"2", "0.5", "abc"}})),
+            "invalid number: 'abc'");
+  ASSERT_EQ(session.handle({"FETCH", {}}).verb, "CONFIG");
+  EXPECT_EQ(reason(session.handle({"REPORT", {"1.5x"}})),
+            "invalid number: '1.5x'");
 }
 
 TEST(ServerSession, DoneIsIdempotent) {

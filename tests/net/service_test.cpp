@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <latch>
 #include <optional>
 #include <string>
 #include <thread>
@@ -223,6 +225,59 @@ TEST(TuningService, OnlyRunsUnderAnAcceptedSignatureAreStored) {
     EXPECT_EQ(fixture.db().record(i).signature.size(), 1u);
   }
   EXPECT_EQ(fixture.service().stats().records_ingested, 3u);
+}
+
+TEST(TuningService, OneBatchCannotMixSignatureAritiesInAnEmptyHistory) {
+  // Two SIGNATUREs of different arities in one dispatch batch against an
+  // empty history: the first fixes the arity and the other is rejected, so
+  // the finished runs never leave the history mixing arities.
+  ServiceOptions opts;
+  opts.session.tuning.simplex.max_evaluations = 20;
+  // Far longer than the two clients need to send after the latch: the
+  // batch waits for the second SIGNATURE, and fires as soon as it lands
+  // because every connection then has a pending step.
+  opts.coalesce_window_us = 1'000'000;
+  ServiceFixture fixture(opts);
+  const std::uint16_t port = fixture.port();
+
+  const std::vector<WorkloadSignature> signatures = {{0.5}, {0.5, 0.5}};
+  std::vector<std::string> rejections(signatures.size());
+  std::latch opened(static_cast<std::ptrdiff_t>(signatures.size()));
+  std::vector<std::thread> clients;
+  for (std::size_t i = 0; i < signatures.size(); ++i) {
+    clients.emplace_back([&, i] {
+      SocketTransport transport("127.0.0.1", port, i == 1);
+      proto::HarmonyClient client(
+          [&transport](const proto::Message& m) { return transport(m); });
+      client.open("client" + std::to_string(i), kRsl);
+      opened.arrive_and_wait();
+      try {
+        (void)client.send_signature(signatures[i]);
+      } catch (const Error& e) {
+        rejections[i] = e.what();
+      }
+      while (const std::optional<Configuration> config = client.fetch()) {
+        client.report(measure(*config));
+      }
+      client.close();
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  const std::size_t accepted = rejections[0].empty() ? 0 : 1;
+  EXPECT_TRUE(rejections[accepted].empty());
+  EXPECT_EQ(rejections[1 - accepted],
+            "server error: signature arity mismatch");
+  const std::size_t arity = signatures[accepted].size();
+  EXPECT_EQ(run_signed_session(port, false, "later",
+                               WorkloadSignature(arity, 0.25)),
+            "");
+  fixture.stop();
+
+  ASSERT_EQ(fixture.db().size(), 2u);
+  for (std::size_t i = 0; i < fixture.db().size(); ++i) {
+    EXPECT_EQ(fixture.db().record(i).signature.size(), arity);
+  }
 }
 
 TEST(TuningService, StatsCountBatchesAndSteps) {

@@ -1,5 +1,9 @@
 #include "websim/des.hpp"
 
+#include <cstdint>
+#include <functional>
+#include <queue>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -132,35 +136,66 @@ TEST(Simulation, ReserveEventsPreservesBehaviour) {
 }
 
 // ---------------------------------------------------------------------------
-// Calendar queue vs binary heap: both backends implement the same (time,
-// seq) total order, so any workload must produce identical pop sequences.
+// Calendar queue vs a binary heap: the heap is the textbook (time, seq)
+// priority queue, so any workload must pop in the same order from both.
 
-/// Runs `feed(sim)` then drains, recording (index, now) per event.
-template <typename Feed>
-std::vector<std::pair<int, double>> trace(DesQueueMode mode, Feed feed) {
-  Simulation sim(mode);
+/// Differential oracle: a std::priority_queue min-heap on (time, seq) with
+/// the scheduling surface the trace workloads use.
+class HeapReference {
+ public:
+  [[nodiscard]] SimTime now() const noexcept { return now_; }
+
+  void schedule(SimTime delay, std::function<void()> action) {
+    schedule_at(now_ + delay, std::move(action));
+  }
+
+  void schedule_at(SimTime when, std::function<void()> action) {
+    queue_.push(Event{when, seq_++, std::move(action)});
+  }
+
+  void run_until(SimTime deadline) {
+    while (!queue_.empty() && queue_.top().time <= deadline) {
+      const Event ev = queue_.top();
+      queue_.pop();
+      now_ = ev.time;
+      ev.action();
+    }
+    if (now_ < deadline) now_ = deadline;
+  }
+
+ private:
+  struct Event {
+    SimTime time;
+    std::uint64_t seq;
+    std::function<void()> action;
+  };
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const noexcept {
+      if (a.time != b.time) return a.time > b.time;
+      return a.seq > b.seq;
+    }
+  };
+
+  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  SimTime now_ = 0.0;
+  std::uint64_t seq_ = 0;
+};
+
+/// Runs `feed(sim, out)` on a fresh `Sim` then drains, recording
+/// (index, now) per event.
+template <typename Sim, typename Feed>
+std::vector<std::pair<int, double>> trace(Feed feed) {
+  Sim sim;
   std::vector<std::pair<int, double>> out;
   feed(sim, out);
   sim.run_until(1e301);  // past every test event, including far-future ones
   return out;
 }
 
-TEST(CalendarQueue, ModeSelectionAndDefault) {
-  EXPECT_EQ(Simulation{}.queue_mode(), des_queue_mode());
-  EXPECT_EQ(Simulation(DesQueueMode::kBinaryHeap).queue_mode(),
-            DesQueueMode::kBinaryHeap);
-  EXPECT_EQ(Simulation(DesQueueMode::kCalendar).queue_mode(),
-            DesQueueMode::kCalendar);
-  const DesQueueMode before = des_queue_mode();
-  set_des_queue_mode(DesQueueMode::kBinaryHeap);
-  EXPECT_EQ(Simulation{}.queue_mode(), DesQueueMode::kBinaryHeap);
-  set_des_queue_mode(before);
-}
-
 TEST(CalendarQueue, MatchesHeapOnRandomWorkload) {
   // Deterministic pseudo-random times quantized to force plenty of ties,
   // with a slice of events scheduling follow-ups from inside callbacks.
-  auto feed = [](Simulation& sim, std::vector<std::pair<int, double>>& out) {
+  auto feed = [](auto& sim, std::vector<std::pair<int, double>>& out) {
     std::uint64_t rng = 0x9e3779b97f4a7c15ull;
     auto next = [&rng] {
       rng ^= rng << 13;
@@ -180,14 +215,13 @@ TEST(CalendarQueue, MatchesHeapOnRandomWorkload) {
       }
     }
   };
-  EXPECT_EQ(trace(DesQueueMode::kCalendar, feed),
-            trace(DesQueueMode::kBinaryHeap, feed));
+  EXPECT_EQ(trace<Simulation>(feed), trace<HeapReference>(feed));
 }
 
 TEST(CalendarQueue, EqualTimeFloodStaysFifo) {
   // The calendar queue's worst case: a few distinct timestamps shared by
   // thousands of events. FIFO within each timestamp must hold exactly.
-  Simulation sim(DesQueueMode::kCalendar);
+  Simulation sim;
   sim.reserve_events(7000);
   std::vector<int> order;
   for (int i = 0; i < 7000; ++i) {
@@ -208,7 +242,7 @@ TEST(CalendarQueue, HandlesExtremeTimeScales) {
   // Nanosecond-spaced events next to events eons ahead: the probe scan
   // must give up after one lap and fall back to a direct root search
   // without losing order.
-  auto feed = [](Simulation& sim, std::vector<std::pair<int, double>>& out) {
+  auto feed = [](auto& sim, std::vector<std::pair<int, double>>& out) {
     for (int i = 0; i < 64; ++i) {
       sim.schedule(1e-9 * static_cast<double>(i),
                    [&sim, &out, i] { out.emplace_back(i, sim.now()); });
@@ -218,15 +252,14 @@ TEST(CalendarQueue, HandlesExtremeTimeScales) {
                    [&sim, &out, i] { out.emplace_back(i + 200, sim.now()); });
     }
   };
-  EXPECT_EQ(trace(DesQueueMode::kCalendar, feed),
-            trace(DesQueueMode::kBinaryHeap, feed));
+  EXPECT_EQ(trace<Simulation>(feed), trace<HeapReference>(feed));
 }
 
 TEST(CalendarQueue, SurvivesGrowthDrainAndRegrowth) {
   // Push through several width-recalibration rebuilds (population doubles
   // on the way up, quarters on the way down), twice, checking the pop
   // stream against the heap backend each time.
-  auto feed = [](Simulation& sim, std::vector<std::pair<int, double>>& out) {
+  auto feed = [](auto& sim, std::vector<std::pair<int, double>>& out) {
     for (int round = 0; round < 2; ++round) {
       for (int i = 0; i < 3000; ++i) {
         const double t = sim.now() + 1e-6 * static_cast<double>((i * 131) % 977);
@@ -237,15 +270,14 @@ TEST(CalendarQueue, SurvivesGrowthDrainAndRegrowth) {
       sim.run_until(sim.now() + 1.0);
     }
   };
-  EXPECT_EQ(trace(DesQueueMode::kCalendar, feed),
-            trace(DesQueueMode::kBinaryHeap, feed));
+  EXPECT_EQ(trace<Simulation>(feed), trace<HeapReference>(feed));
 }
 
 TEST(CalendarQueue, ReserveEventsPreSizesBuckets) {
   // A reserved calendar must behave identically to an unreserved one while
   // interleaving schedules and pops (pops trigger bucket-array use early).
   auto run = [](bool reserve) {
-    Simulation sim(DesQueueMode::kCalendar);
+    Simulation sim;
     if (reserve) sim.reserve_events(4096);
     std::vector<int> order;
     for (int i = 0; i < 2000; ++i) {
@@ -259,19 +291,16 @@ TEST(CalendarQueue, ReserveEventsPreSizesBuckets) {
   EXPECT_EQ(run(true), run(false));
 }
 
-TEST(CalendarQueue, PendingEventsTracksBothModes) {
-  for (const auto mode :
-       {DesQueueMode::kCalendar, DesQueueMode::kBinaryHeap}) {
-    Simulation sim(mode);
-    EXPECT_EQ(sim.pending_events(), 0u);
-    for (int i = 0; i < 10; ++i) sim.schedule(1.0 + i, [] {});
-    EXPECT_EQ(sim.pending_events(), 10u);
-    sim.step();
-    EXPECT_EQ(sim.pending_events(), 9u);
-    sim.run_until(100.0);
-    EXPECT_EQ(sim.pending_events(), 0u);
-    EXPECT_EQ(sim.executed_events(), 10u);
-  }
+TEST(CalendarQueue, PendingEventsTracksTheQueue) {
+  Simulation sim;
+  EXPECT_EQ(sim.pending_events(), 0u);
+  for (int i = 0; i < 10; ++i) sim.schedule(1.0 + i, [] {});
+  EXPECT_EQ(sim.pending_events(), 10u);
+  sim.step();
+  EXPECT_EQ(sim.pending_events(), 9u);
+  sim.run_until(100.0);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.executed_events(), 10u);
 }
 
 }  // namespace

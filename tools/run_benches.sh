@@ -31,6 +31,34 @@ ablation_classifiers ablation_factorial websim_events_per_sec \
 history_scale persistence_throughput tuning_throughput incremental_fit \
 serving_throughput strategy_tournament"
 
+# Benches report metrics on marker lines: `<PREFIX><key> <value>`, or
+# `EVENTS_PER_SEC <key> <value>` for throughput. Each row below maps a
+# marker prefix to the section of the bench's JSON entry its pairs land in;
+# sections appear in this order, and only when the log holds such markers.
+MARKERS='EVENTS_PER_SEC events_per_sec
+SPECULATION_ speculation
+FAULT_TOLERANCE_ fault_tolerance
+SIMD_ simd
+PERSIST_ persistence
+SERVE_ serving
+INCFIT_ incremental_fit
+HISTORY_BATCH_ history_batch
+TOURNAMENT_ tournament'
+
+# Prints `, "<section>": {"<key>": <value>, ...}` for every marker prefix
+# that occurs in log $1. Non-numeric values are quoted as JSON strings.
+scrape_markers() {
+  printf '%s\n' "$MARKERS" | while read -r prefix section; do
+    pairs=$(awk -v p="$prefix" 'index($0, p) == 1 {
+              split(substr($0, length(p) + 1), f, " ");
+              if (n++) printf ", ";
+              if (f[2] ~ /^[0-9.eE+-]+$/) printf "\"%s\": %s", f[1], f[2];
+              else printf "\"%s\": \"%s\"", f[1], f[2]
+            }' "$1")
+    if [ -n "$pairs" ]; then printf ', "%s": {%s}' "$section" "$pairs"; fi
+  done
+}
+
 JSON="$OUT_DIR/BENCH_timings.json"
 threads=${HARMONY_THREADS:-auto}
 total_start=$(date +%s%N)
@@ -69,77 +97,7 @@ for b in $BENCHES; do
   echo "$status  ${secs}s"
   [ $first -eq 1 ] || printf ',\n' >> "$JSON"
   first=0
-  # Benches report throughput on EVENTS_PER_SEC <name> <rate> marker lines,
-  # strategy-tournament cells on TOURNAMENT_<key> <value> lines,
-  # speculation metrics on SPECULATION_<key> <value> lines, fault-path
-  # metrics on FAULT_TOLERANCE_<key> <value> lines, SIMD kernel speedups on
-  # SIMD_<key> <value> lines, DES queue-backend comparisons on
-  # DES_<key> <value> lines and durable-store metrics on PERSIST_<key>
-  # <value> lines, serving-front-end metrics on SERVE_<key> <value>
-  # lines, delta-aware refit metrics on INCFIT_<key> <value> lines and
-  # batched-classify metrics on HISTORY_BATCH_<key> <value> lines; fold
-  # any such markers into the bench's JSON entry.
-  rates=$(awk '/^EVENTS_PER_SEC / {
-                 if (n++) printf ", ";
-                 printf "\"%s\": %s", $2, $3
-               }' "$OUT_DIR/$b.log")
-  spec=$(awk '/^SPECULATION_/ {
-                key = substr($1, length("SPECULATION_") + 1);
-                if (n++) printf ", ";
-                printf "\"%s\": %s", key, $2
-              }' "$OUT_DIR/$b.log")
-  fault=$(awk '/^FAULT_TOLERANCE_/ {
-                 key = substr($1, length("FAULT_TOLERANCE_") + 1);
-                 if (n++) printf ", ";
-                 printf "\"%s\": %s", key, $2
-               }' "$OUT_DIR/$b.log")
-  simd=$(awk '/^SIMD_/ {
-                key = substr($1, length("SIMD_") + 1);
-                if (n++) printf ", ";
-                if ($2 ~ /^[0-9.eE+-]+$/) printf "\"%s\": %s", key, $2;
-                else printf "\"%s\": \"%s\"", key, $2
-              }' "$OUT_DIR/$b.log")
-  des=$(awk '/^DES_/ {
-               key = substr($1, length("DES_") + 1);
-               if (n++) printf ", ";
-               printf "\"%s\": %s", key, $2
-             }' "$OUT_DIR/$b.log")
-  persist=$(awk '/^PERSIST_/ {
-                   key = substr($1, length("PERSIST_") + 1);
-                   if (n++) printf ", ";
-                   printf "\"%s\": %s", key, $2
-                 }' "$OUT_DIR/$b.log")
-  serve=$(awk '/^SERVE_/ {
-                 key = substr($1, length("SERVE_") + 1);
-                 if (n++) printf ", ";
-                 printf "\"%s\": %s", key, $2
-               }' "$OUT_DIR/$b.log")
-  incfit=$(awk '/^INCFIT_/ {
-                  key = substr($1, length("INCFIT_") + 1);
-                  if (n++) printf ", ";
-                  printf "\"%s\": %s", key, $2
-                }' "$OUT_DIR/$b.log")
-  hbatch=$(awk '/^HISTORY_BATCH_/ {
-                  key = substr($1, length("HISTORY_BATCH_") + 1);
-                  if (n++) printf ", ";
-                  printf "\"%s\": %s", key, $2
-                }' "$OUT_DIR/$b.log")
-  tourn=$(awk '/^TOURNAMENT_/ {
-                 key = substr($1, length("TOURNAMENT_") + 1);
-                 if (n++) printf ", ";
-                 printf "\"%s\": %s", key, $2
-               }' "$OUT_DIR/$b.log")
-  extra=""
-  [ -n "$rates" ] && extra="$extra, \"events_per_sec\": {$rates}"
-  [ -n "$spec" ] && extra="$extra, \"speculation\": {$spec}"
-  [ -n "$fault" ] && extra="$extra, \"fault_tolerance\": {$fault}"
-  [ -n "$simd" ] && extra="$extra, \"simd\": {$simd}"
-  [ -n "$des" ] && extra="$extra, \"des\": {$des}"
-  [ -n "$persist" ] && extra="$extra, \"persistence\": {$persist}"
-  [ -n "$serve" ] && extra="$extra, \"serving\": {$serve}"
-  [ -n "$incfit" ] && extra="$extra, \"incremental_fit\": {$incfit}"
-  [ -n "$hbatch" ] && extra="$extra, \"history_batch\": {$hbatch}"
-  [ -n "$tourn" ] && extra="$extra, \"tournament\": {$tourn}"
+  extra=$(scrape_markers "$OUT_DIR/$b.log")
   printf '    "%s": {"seconds": %s, "status": "%s"%s}' \
     "$b" "$secs" "$status" "$extra" >> "$JSON"
 done
